@@ -69,11 +69,11 @@ bench-sta:
 # by the flow tests).
 check: build vet lint test race
 
-# Batched-pipeline throughput smoke: one iteration of the windows/sec/core
-# bench on the -short repeated-context strip (per-window vs batched, cache
+# Window-path throughput smoke: one iteration of the windows/sec/core
+# bench on the -short repeated-context strip (batch sizes 1 and 16, cache
 # off and on). Reference numbers: BENCH_throughput.json.
 bench-throughput:
-	$(GO) test -short -run=NONE -bench=Throughput_BatchedPipeline -benchtime=1x .
+	$(GO) test -short -run=NONE -bench=Throughput_Batch -benchtime=1x .
 
 # Run-ledger regression gate: two small instrumented postopc-sta runs
 # write ledgers; postopc-report summarizes the second, diffs it against

@@ -120,10 +120,10 @@ func (s *Store) Instrument(sink *obs.Sink) *Store {
 
 // Ticket is one claimed lookup, the batch-aware face of the single-flight
 // protocol. Reserve classifies the lookup immediately — hit, single-flight
-// wait, or leadership of a fresh computation — so a staged pipeline can
+// wait, or leadership of a fresh computation — so a batched caller can
 // route each batch member without blocking: hits (Ready) read their value
-// at once and skip the compute stages, leaders run the computation and must
-// Complete it, and waiters carry the ticket to a later stage and Wait there.
+// at once and skip the computation, leaders run the computation and must
+// Complete it, and waiters keep the ticket and Wait once the batch is done.
 // The zero Ticket is invalid; tickets are passed by value and must not be
 // reused after Wait/Complete returns the result.
 type Ticket struct {

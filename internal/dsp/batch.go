@@ -14,11 +14,11 @@ import (
 //
 // Determinism contract: for every grid in the batch the sequence of
 // floating-point operations applied to that grid is identical to the
-// corresponding single-grid Grid/FGrid method (FFT2D, IFFT2D,
-// FFT2DBandSelect, IFFT2DBandLimited) — the tables come from the same plan
-// cache and each column/row runs the same vek kernel code — so batched and
-// per-grid transforms are bit-identical. Only the interleaving across
-// (independent) grids differs.
+// corresponding single-grid FGrid method (FFT2D, IFFT2D, FFT2DBandSelect,
+// IFFT2DBandLimited) — the tables come from the same plan cache and each
+// column/row runs the same vek kernel code — so batched and per-grid
+// transforms are bit-identical. Only the interleaving across (independent)
+// grids differs.
 type BatchPlan struct {
 	nx, ny   int
 	row, col *plan
@@ -152,73 +152,4 @@ func (bp *BatchPlan) IFFT2DBandLimitedAllPlanes(fs []*FGrid, rows []int) error {
 	bp.rowsAllPlanes(fs, rows, true)
 	bp.columnsAllPlanes(fs, true)
 	return nil
-}
-
-// stageAll borrows pooled FGrids holding every grid's values as planes.
-func stageAll(grids []*Grid) []*FGrid {
-	fs := make([]*FGrid, len(grids))
-	for i, g := range grids {
-		fs[i] = BorrowFGrid(g.Nx, g.Ny)
-		fs[i].LoadGrid(g)
-	}
-	return fs
-}
-
-// unstageAll stores the planes back into the grids and returns the FGrids
-// to the pool.
-func unstageAll(fs []*FGrid, grids []*Grid) {
-	for i, f := range fs {
-		f.StoreGrid(grids[i])
-		ReturnFGrid(f)
-	}
-}
-
-// batchPlanes runs op over the staged plane views of grids, storing the
-// results back on success.
-func (bp *BatchPlan) batchPlanes(grids []*Grid, op func([]*FGrid) error) error {
-	for _, g := range grids {
-		if g.Nx != bp.nx || g.Ny != bp.ny {
-			return fmt.Errorf("dsp: grid %dx%d in batch planned for %dx%d", g.Nx, g.Ny, bp.nx, bp.ny)
-		}
-	}
-	fs := stageAll(grids)
-	if err := op(fs); err != nil {
-		for _, f := range fs {
-			ReturnFGrid(f)
-		}
-		return err
-	}
-	unstageAll(fs, grids)
-	return nil
-}
-
-// FFT2DAll performs the forward 2-D FFT over every grid in place —
-// bit-identical per grid to Grid.FFT2D (rows first, then columns).
-func (bp *BatchPlan) FFT2DAll(grids []*Grid) error {
-	return bp.batchPlanes(grids, bp.FFT2DAllPlanes)
-}
-
-// IFFT2DAll performs the inverse 2-D FFT (scaled) over every grid in place
-// — bit-identical per grid to Grid.IFFT2D.
-func (bp *BatchPlan) IFFT2DAll(grids []*Grid) error {
-	return bp.batchPlanes(grids, bp.IFFT2DAllPlanes)
-}
-
-// FFT2DBandSelectAll performs the forward transform of every grid computing
-// only the listed spectrum rows — bit-identical per grid to
-// Grid.FFT2DBandSelect (full column pass, then the selected rows). Rows
-// outside the list are left partially transformed and must not be read.
-func (bp *BatchPlan) FFT2DBandSelectAll(grids []*Grid, rows []int) error {
-	return bp.batchPlanes(grids, func(fs []*FGrid) error {
-		return bp.FFT2DBandSelectAllPlanes(fs, rows)
-	})
-}
-
-// IFFT2DBandLimitedAll performs the inverse transform of spectra whose
-// energy is confined to the listed rows — bit-identical per grid to
-// Grid.IFFT2DBandLimited. Rows outside the list must be zero.
-func (bp *BatchPlan) IFFT2DBandLimitedAll(grids []*Grid, rows []int) error {
-	return bp.batchPlanes(grids, func(fs []*FGrid) error {
-		return bp.IFFT2DBandLimitedAllPlanes(fs, rows)
-	})
 }

@@ -5,35 +5,33 @@ import (
 	"testing"
 )
 
-// cloneBatch deep-copies a batch of grids.
-func cloneBatch(grids []*Grid) []*Grid {
-	out := make([]*Grid, len(grids))
+// cloneBatch deep-copies a batch of plane grids.
+func cloneBatch(grids []*FGrid) []*FGrid {
+	out := make([]*FGrid, len(grids))
 	for i, g := range grids {
-		out[i] = g.Clone()
+		out[i] = cloneGrid(g)
 	}
 	return out
 }
 
-// equalBits compares two grids for exact (bit-level) equality.
-func equalBits(t *testing.T, tag string, i int, a, b *Grid) {
+// equalBits compares two plane grids for exact (bit-level) equality.
+func equalBits(t *testing.T, tag string, i int, a, b *FGrid) {
 	t.Helper()
 	if a.Nx != b.Nx || a.Ny != b.Ny {
 		t.Fatalf("%s grid %d: size %dx%d vs %dx%d", tag, i, a.Nx, a.Ny, b.Nx, b.Ny)
 	}
-	for j := range a.Data {
-		if a.Data[j] != b.Data[j] {
-			t.Fatalf("%s grid %d: element %d = %v, want %v", tag, i, j, a.Data[j], b.Data[j])
-		}
+	if j, ok := sameBits(a, b); !ok {
+		t.Fatalf("%s grid %d: element %d = %v, want %v", tag, i, j, a.At(j%a.Nx, j/a.Nx), b.At(j%b.Nx, j/b.Nx))
 	}
 }
 
 // TestBatchPlanBitIdentical asserts the batched transforms are bit-identical
-// per grid to the single-grid Grid methods, for every direction and band
+// per grid to the single-grid FGrid methods, for every direction and band
 // variant, on a batch of differing contents (including a non-square size).
 func TestBatchPlanBitIdentical(t *testing.T) {
 	for _, dims := range []struct{ nx, ny int }{{32, 32}, {64, 16}} {
 		rnd := rand.New(rand.NewSource(7))
-		batch := make([]*Grid, 5)
+		batch := make([]*FGrid, 5)
 		for i := range batch {
 			batch[i] = randGrid(rnd, dims.nx, dims.ny)
 		}
@@ -51,11 +49,11 @@ func TestBatchPlanBitIdentical(t *testing.T) {
 			}
 		}
 		got := cloneBatch(batch)
-		if err := bp.FFT2DAll(got); err != nil {
+		if err := bp.FFT2DAllPlanes(got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
-			equalBits(t, "FFT2DAll", i, got[i], want[i])
+			equalBits(t, "FFT2DAllPlanes", i, got[i], want[i])
 		}
 
 		// Inverse full (of the forward spectra).
@@ -66,11 +64,11 @@ func TestBatchPlanBitIdentical(t *testing.T) {
 			}
 		}
 		got2 := cloneBatch(want)
-		if err := bp.IFFT2DAll(got2); err != nil {
+		if err := bp.IFFT2DAllPlanes(got2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got2 {
-			equalBits(t, "IFFT2DAll", i, got2[i], back[i])
+			equalBits(t, "IFFT2DAllPlanes", i, got2[i], back[i])
 		}
 
 		// Band-selected forward: only the selected rows are defined.
@@ -81,23 +79,23 @@ func TestBatchPlanBitIdentical(t *testing.T) {
 			}
 		}
 		gotSel := cloneBatch(batch)
-		if err := bp.FFT2DBandSelectAll(gotSel, rows); err != nil {
+		if err := bp.FFT2DBandSelectAllPlanes(gotSel, rows); err != nil {
 			t.Fatal(err)
 		}
 		for i := range gotSel {
 			for _, iy := range rows {
 				for ix := 0; ix < dims.nx; ix++ {
 					if gotSel[i].At(ix, iy) != wantSel[i].At(ix, iy) {
-						t.Fatalf("FFT2DBandSelectAll grid %d row %d col %d diverged", i, iy, ix)
+						t.Fatalf("FFT2DBandSelectAllPlanes grid %d row %d col %d diverged", i, iy, ix)
 					}
 				}
 			}
 		}
 
 		// Band-limited inverse: spectra zero outside the selected rows.
-		spectra := make([]*Grid, len(batch))
+		spectra := make([]*FGrid, len(batch))
 		for i := range spectra {
-			g := NewGrid(dims.nx, dims.ny)
+			g := NewFGrid(dims.nx, dims.ny)
 			for _, iy := range rows {
 				for ix := 0; ix < dims.nx; ix++ {
 					g.Set(ix, iy, complex(rnd.NormFloat64(), rnd.NormFloat64()))
@@ -112,11 +110,11 @@ func TestBatchPlanBitIdentical(t *testing.T) {
 			}
 		}
 		gotInv := cloneBatch(spectra)
-		if err := bp.IFFT2DBandLimitedAll(gotInv, rows); err != nil {
+		if err := bp.IFFT2DBandLimitedAllPlanes(gotInv, rows); err != nil {
 			t.Fatal(err)
 		}
 		for i := range gotInv {
-			equalBits(t, "IFFT2DBandLimitedAll", i, gotInv[i], wantInv[i])
+			equalBits(t, "IFFT2DBandLimitedAllPlanes", i, gotInv[i], wantInv[i])
 		}
 	}
 }
@@ -130,14 +128,14 @@ func TestBatchPlanRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FFT2DAll([]*Grid{NewGrid(16, 16), NewGrid(32, 16)}); err == nil {
-		t.Fatal("FFT2DAll accepted a mis-sized grid")
+	if err := bp.FFT2DAllPlanes([]*FGrid{NewFGrid(16, 16), NewFGrid(32, 16)}); err == nil {
+		t.Fatal("FFT2DAllPlanes accepted a mis-sized grid")
 	}
-	if err := bp.FFT2DBandSelectAll([]*Grid{NewGrid(16, 16)}, []int{16}); err == nil {
-		t.Fatal("FFT2DBandSelectAll accepted an out-of-range row")
+	if err := bp.FFT2DBandSelectAllPlanes([]*FGrid{NewFGrid(16, 16)}, []int{16}); err == nil {
+		t.Fatal("FFT2DBandSelectAllPlanes accepted an out-of-range row")
 	}
-	if err := bp.IFFT2DBandLimitedAll([]*Grid{NewGrid(16, 16)}, []int{-1}); err == nil {
-		t.Fatal("IFFT2DBandLimitedAll accepted a negative row")
+	if err := bp.IFFT2DBandLimitedAllPlanes([]*FGrid{NewFGrid(16, 16)}, []int{-1}); err == nil {
+		t.Fatal("IFFT2DBandLimitedAllPlanes accepted a negative row")
 	}
 }
 
@@ -147,7 +145,7 @@ func TestBatchPlanEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FFT2DAll(nil); err != nil {
+	if err := bp.FFT2DAllPlanes(nil); err != nil {
 		t.Fatal(err)
 	}
 }

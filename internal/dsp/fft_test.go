@@ -6,7 +6,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"postopc/internal/dsp/vek"
 )
+
+// fft1 transforms x in place as one line: an n×1 plane grid, whose column
+// pass is the identity. len(x) must be a power of two.
+func fft1(x []complex128, inverse bool) error {
+	f := NewFGrid(len(x), 1)
+	vek.Split(f.Re, f.Im, x)
+	var err error
+	if inverse {
+		err = f.IFFT2D()
+	} else {
+		err = f.FFT2D()
+	}
+	vek.Join(x, f.Re, f.Im)
+	return err
+}
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128, 128: 128, 129: 256}
@@ -31,10 +48,10 @@ func TestIsPow2(t *testing.T) {
 }
 
 func TestFFTRejectsNonPow2(t *testing.T) {
-	if err := FFT(make([]complex128, 12)); err == nil {
+	if err := fft1(make([]complex128, 12), false); err == nil {
 		t.Fatal("expected error for length 12")
 	}
-	g := NewGrid(3, 4)
+	g := NewFGrid(3, 4)
 	if err := g.FFT2D(); err == nil {
 		t.Fatal("expected error for 3x4 grid")
 	}
@@ -44,7 +61,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a delta at 0 is all-ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	if err := FFT(x); err != nil {
+	if err := fft1(x, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -61,7 +78,7 @@ func TestFFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(k*i)/n))
 	}
-	if err := FFT(x); err != nil {
+	if err := fft1(x, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -89,10 +106,10 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		n := 1 << (1 + rnd.Intn(9)) // 2..1024
 		x := randSignal(rnd, n)
 		orig := append([]complex128(nil), x...)
-		if err := FFT(x); err != nil {
+		if err := fft1(x, false); err != nil {
 			return false
 		}
-		if err := IFFT(x); err != nil {
+		if err := fft1(x, true); err != nil {
 			return false
 		}
 		for i := range x {
@@ -115,7 +132,7 @@ func TestFFTParseval(t *testing.T) {
 	for _, v := range x {
 		e += real(v)*real(v) + imag(v)*imag(v)
 	}
-	if err := FFT(x); err != nil {
+	if err := fft1(x, false); err != nil {
 		t.Fatal(err)
 	}
 	var ef float64
@@ -139,9 +156,9 @@ func TestFFTLinearity(t *testing.T) {
 	fa := append([]complex128(nil), a...)
 	fb := append([]complex128(nil), b...)
 	fs := append([]complex128(nil), sum...)
-	_ = FFT(fa)
-	_ = FFT(fb)
-	_ = FFT(fs)
+	_ = fft1(fa, false)
+	_ = fft1(fb, false)
+	_ = fft1(fs, false)
 	for i := range fs {
 		if cmplx.Abs(fs[i]-(2*fa[i]+3*fb[i])) > 1e-8 {
 			t.Fatalf("linearity violated at %d", i)
@@ -151,19 +168,16 @@ func TestFFTLinearity(t *testing.T) {
 
 func TestFFT2DRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
-	g := NewGrid(32, 16)
-	for i := range g.Data {
-		g.Data[i] = complex(rnd.NormFloat64(), rnd.NormFloat64())
-	}
-	orig := g.Clone()
+	g := randGrid(rnd, 32, 16)
+	orig := cloneGrid(g)
 	if err := g.FFT2D(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.IFFT2D(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.Data {
-		if cmplx.Abs(g.Data[i]-orig.Data[i]) > 1e-9 {
+	for i := range g.Re {
+		if cmplx.Abs(complex(g.Re[i]-orig.Re[i], g.Im[i]-orig.Im[i])) > 1e-9 {
 			t.Fatalf("2D round trip mismatch at %d", i)
 		}
 	}
@@ -172,7 +186,7 @@ func TestFFT2DRoundTrip(t *testing.T) {
 func TestFFT2DSeparableTone(t *testing.T) {
 	// A 2-D plane wave concentrates in a single 2-D bin.
 	const nx, ny, kx, ky = 16, 16, 3, 5
-	g := NewGrid(nx, ny)
+	g := NewFGrid(nx, ny)
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
 			ph := 2 * math.Pi * (float64(kx*ix)/nx + float64(ky*iy)/ny)
@@ -206,18 +220,17 @@ func TestFreqIndex(t *testing.T) {
 }
 
 func TestGridAccessors(t *testing.T) {
-	g := NewGrid(4, 3)
+	g := NewFGrid(4, 3)
 	g.Set(2, 1, 5+6i)
-	if g.At(2, 1) != 5+6i {
+	if g.At(2, 1) != 5+6i || g.Re[6] != 5 || g.Im[6] != 6 {
 		t.Fatal("Set/At mismatch")
 	}
 	if g.Energy() != 61 {
 		t.Fatalf("Energy = %g", g.Energy())
 	}
-	c := g.Clone()
-	c.Set(2, 1, 0)
-	if g.At(2, 1) != 5+6i {
-		t.Fatal("Clone must not alias")
+	g.Clear()
+	if g.At(2, 1) != 0 || g.Energy() != 0 {
+		t.Fatal("Clear left a value behind")
 	}
 }
 
@@ -227,19 +240,19 @@ func BenchmarkFFT1D1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := append([]complex128(nil), x...)
-		_ = FFT(buf)
+		_ = fft1(buf, false)
 	}
 }
 
 func BenchmarkFFT2D256(b *testing.B) {
-	g := NewGrid(256, 256)
+	g := NewFGrid(256, 256)
 	rnd := rand.New(rand.NewSource(1))
-	for i := range g.Data {
-		g.Data[i] = complex(rnd.NormFloat64(), 0)
+	for i := range g.Re {
+		g.Re[i] = rnd.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := g.Clone()
+		c := cloneGrid(g)
 		_ = c.FFT2D()
 	}
 }

@@ -38,9 +38,9 @@ func genValue(r *rand.Rand) float64 {
 	case 5:
 		// Denormals: the 1/N-scaling exactness proof must hold below the
 		// normal range too.
-		return math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	case 6:
-		return -math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return -math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	default:
 		return (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(80)-40)
 	}
@@ -339,5 +339,49 @@ func TestEmptyAndTinySpans(t *testing.T) {
 				t.Fatalf("n=%d: Zero left re[%d] = %g", n, i, re[i])
 			}
 		}
+	}
+}
+
+// fline is a float line with quick's awkward lengths and edge-case values.
+type fline []float64
+
+func (fline) Generate(r *rand.Rand, _ int) reflect.Value {
+	xs := make(fline, r.Intn(67))
+	for i := range xs {
+		xs[i] = genValue(r)
+	}
+	return reflect.ValueOf(xs)
+}
+
+// TestConvKernelsMatchGeneric pins the convolution kernels (scalar
+// assembly on amd64) to their Go reference loops bit-for-bit, on random
+// lengths, tap counts and edge-case values.
+func TestConvKernelsMatchGeneric(t *testing.T) {
+	conv := func(src, kern fline) bool {
+		n := len(src) - len(kern) + 1
+		if n < 0 {
+			n = 0
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		vek.ConvRow(got, src, kern)
+		vek.ConvRowGeneric(want, src, kern)
+		return floatsEqual(got, want)
+	}
+	if err := quick.Check(conv, quickCfg()); err != nil {
+		t.Error(err)
+	}
+	add := func(dst, src fline, w int64) bool {
+		if len(src) < len(dst) {
+			dst = dst[:len(src)]
+		}
+		wf := math.Float64frombits(uint64(w))
+		got := append([]float64(nil), dst...)
+		want := append([]float64(nil), dst...)
+		vek.AddScaled(got, src, wf)
+		vek.AddScaledGeneric(want, src, wf)
+		return floatsEqual(got, want)
+	}
+	if err := quick.Check(add, quickCfg()); err != nil {
+		t.Error(err)
 	}
 }

@@ -55,8 +55,8 @@ type RunOptions struct {
 	TagTopK int
 	// Workers bounds extraction concurrency (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Batch > 1 routes extraction through the batched window pipeline in
-	// groups of Batch windows (see ExtractOptions.Batch).
+	// Batch is the number of windows per batch of extraction (see
+	// ExtractOptions.Batch).
 	Batch int
 }
 

@@ -1,69 +1,235 @@
 package flow
 
 import (
-	"fmt"
+	"errors"
 
 	"postopc/internal/cache"
-	"postopc/internal/cdx"
 	"postopc/internal/geom"
-	"postopc/internal/layout"
 	"postopc/internal/litho"
 	"postopc/internal/obs"
 	"postopc/internal/par"
 )
 
-// This file is the batched window pipeline: instead of fork-joining one
-// goroutine per window (par.ForEach over extractInstance / verifyTile),
-// windows are grouped into batches of opt.Batch and streamed through a
-// three-stage par.Pipeline —
+// This file is the one window path of extraction (ExtractGates,
+// ExtractInstance) and full-chip ORC (VerifyChip). Windows — gate windows
+// or ORC tiles — are grouped into batches of max(Batch, 1), and the
+// batches fan out over par.ForEachWorker. Each batch
 //
-//	prep:   clip → canonicalize → signature   (pure geometry, no kernels)
-//	kernel: cache reservation + OPC → batched image → contour/profile
-//	post:   single-flight waits + artifact → result mapping
+//  1. clips, canonicalizes and signs its members;
+//  2. reserves them in the pattern cache;
+//  3. runs OPC for each leader;
+//  4. images all its leaders in one stageImageBatch call;
+//  5. runs contour/profile, or the ORC scans;
+//  6. completes its leader tickets.
 //
-// — so clipping of later batches overlaps imaging of earlier ones, and the
-// kernel stage amortizes FFT plans, filter-bank lookups and scratch across
-// a whole batch via litho.BatchModel.AerialBatch.
+// After the fan-out, one pass in ascending order resolves the waits of
+// non-leader members, collects the artifacts and writes the ledger
+// records.
 //
-// Determinism: every float is produced by the same stage functions the
-// per-window path runs (stages.go), batch members write into
-// index-addressed slots, and batches are admitted in ascending order with
-// the lowest failing batch's lowest item error returned — so batched
-// output is byte-identical to the per-window path at any worker count and
-// batch size, cache on or off.
+// Determinism: every float comes from the stage functions (stages.go) in
+// canonical window coordinates, members write index-addressed slots, and
+// the error returned is the lowest-index member's. Batches are claimed in
+// ascending order and a failed batch stops further claims, so every batch
+// below the lowest failing one has run. The output is byte-identical at
+// any worker count and batch size, cache on or off.
 //
-// Cache discipline (deadlock freedom): tickets are claimed AND completed
-// inside the kernel stage's Fn — a leader never crosses a channel between
-// Reserve and Complete. Only non-leader (wait) tickets flow to the post
-// stage; every such wait is on a leader that is actively executing a
-// kernel Fn (never parked on a channel send, which happens only after its
-// Fn returns), so post-stage waits always terminate. Ready hits resolve in
-// place and skip the kernel work entirely.
+// Deadlock freedom: a batch never blocks on a ticket. It reserves, reads
+// the results of ready hits, and completes every leader ticket it claimed
+// before it returns. Waits on results still in flight happen only after
+// the fan-out, when this run holds no reservation, and every leader they
+// wait on — in this run or a concurrent one — is inside a running batch
+// that completes it without blocking.
 
-// batchRange returns the item index range [lo, hi) of batch b over n items
-// split into batches of size.
-func batchRange(n, size, b int) (lo, hi int) {
-	lo = b * size
-	hi = lo + size
-	if hi > n {
-		hi = n
+// windowJob is what tells gate windows and ORC tiles apart on the path.
+// Each method handles one member by index; the job keeps the members'
+// geometry in index-addressed slots of its own.
+type windowJob[A any] interface {
+	// prep clips and canonicalizes member i. It returns false, with or
+	// without an error, when the member has nothing to compute; prep errors
+	// are returned as they are.
+	prep(i int, rec *obs.WindowRecord) (bool, error)
+	// sign returns the cache signature of a prepped member.
+	sign(i int) cache.Key
+	// mask runs member i's OPC and returns the mask to image and its
+	// canonical window bounds.
+	mask(i int, rec *obs.WindowRecord) ([]geom.Polygon, geom.Rect, error)
+	// finish turns member i's corner images into its artifact.
+	finish(i int, imgs []*litho.Image, rec *obs.WindowRecord) A
+	// wrap names member i in an error of its computation.
+	wrap(i int, err error) error
+}
+
+// member is one window's passage through the path.
+type member[A any] struct {
+	rec     *obs.WindowRecord // ledger record (nil when no journal)
+	prepErr error             // prep failure, in final form
+	err     error             // computation failure, unwrapped as the cache publishes it
+	art     A
+	ticket  cache.Ticket
+	wait    bool // non-leader ticket, resolved after the fan-out
+}
+
+// reserve claims the member's signature in the cache and reports whether
+// the member must be computed here: it leads the computation, or no cache
+// is attached. A ready hit takes the published result; a member whose
+// leader is still in flight keeps its ticket and waits after the fan-out.
+// The ledger class mirrors cache.Do: leader = miss, ready = hit, blocked
+// single-flight = wait.
+func (m *member[A]) reserve(c *cache.Store, key cache.Key) bool {
+	if c == nil {
+		return true
 	}
-	return lo, hi
+	m.ticket = c.Reserve(key)
+	switch {
+	case m.ticket.Leader():
+		recordClass(m.rec, "miss")
+		return true
+	case m.ticket.Ready():
+		recordClass(m.rec, "hit")
+		m.resolve()
+	default:
+		recordClass(m.rec, "wait")
+		m.wait = true
+	}
+	return false
+}
+
+// resolve takes the published result of the member's ticket.
+func (m *member[A]) resolve() {
+	v, err := m.ticket.Wait()
+	m.art, _ = v.(A)
+	m.err = err
+}
+
+// windowRun is one fan-out of the window path.
+type windowRun[A any] struct {
+	job     windowJob[A]
+	env     *stageEnv
+	cache   *cache.Store
+	corners []litho.Corner
+	kind    string // ledger record kind
+	size    int    // members per batch
+	parent  obs.SpanID
+	members []member[A]
+}
+
+// errBatchFailed stops further batch claims once a batch holds a failed
+// member; the error reported is chosen afterwards, by index.
+var errBatchFailed = errors.New("flow: batch failed")
+
+// runWindows runs n members of job through the path in batches of
+// max(batch, 1) on at most workers workers. It returns the artifacts by
+// index (zero for members with nothing to compute) and the lowest-index
+// member's error: a prep error as it is, a computation error wrapped by
+// the job. parent is the telemetry span the stage spans nest under.
+func runWindows[A any](f *Flow, env *stageEnv, job windowJob[A], n, batch, workers int, kind string, corners []litho.Corner, parent obs.SpanID) ([]A, error) {
+	r := &windowRun[A]{
+		job: job, env: env, cache: f.Cache, corners: corners, kind: kind,
+		size: max(batch, 1), parent: parent, members: make([]member[A], n),
+	}
+	// The pool can only return errBatchFailed; the members say which
+	// window failed, and waits may still fail below.
+	_ = par.ForEachWorker((n+r.size-1)/r.size, r.batch, par.Workers(workers), par.Obs(f.Obs))
+	arts := make([]A, n)
+	var first error
+	for i := range r.members {
+		m := &r.members[i]
+		if m.wait {
+			m.resolve()
+		}
+		env.jrn.Record(m.rec)
+		arts[i] = m.art
+		if first != nil {
+			continue
+		}
+		if m.prepErr != nil {
+			first = m.prepErr
+		} else if m.err != nil {
+			first = job.wrap(i, m.err)
+		}
+	}
+	return arts, first
+}
+
+// batch runs batch b on pool slot w: steps 1–6 of the path.
+func (r *windowRun[A]) batch(w, b int) error {
+	env, lo := r.env, b*r.size
+	hi := min(lo+r.size, len(r.members))
+	var leaders []int
+	for i := lo; i < hi; i++ {
+		m := &r.members[i]
+		if env.jrn != nil {
+			m.rec = &obs.WindowRecord{Index: i, Kind: r.kind, Class: "compute", Batch: b, Worker: w}
+		}
+		live, err := r.job.prep(i, m.rec)
+		if !live {
+			m.prepErr = err
+			continue
+		}
+		// Without a cache, signatures are computed only for the ledger.
+		var key cache.Key
+		if r.cache != nil || m.rec != nil {
+			key = r.job.sign(i)
+			recordSig(m.rec, key)
+		}
+		if m.reserve(r.cache, key) {
+			leaders = append(leaders, i)
+		}
+	}
+	masks := make([][]geom.Polygon, 0, len(leaders))
+	bounds := make([]geom.Rect, 0, len(leaders))
+	live := make([]int, 0, len(leaders))
+	for _, i := range leaders {
+		mask, bnd, err := r.job.mask(i, r.members[i].rec)
+		if err != nil {
+			r.members[i].err = err
+			continue
+		}
+		masks, bounds, live = append(masks, mask), append(bounds, bnd), append(live, i)
+	}
+	if len(live) > 0 {
+		// One imaging call for the batch: each member's image_ns is the
+		// call's duration.
+		sp := env.obs.StartChild("stage.image", r.parent)
+		t0 := env.met.image.StartTimer()
+		imgs, errs := stageImageBatch(env, masks, bounds, r.corners)
+		imageNS := env.met.image.TimedSince(t0)
+		sp.End()
+		for k, i := range live {
+			m := &r.members[i]
+			m.rec.Observe(obs.StageImage, imageNS)
+			if errs[k] != nil {
+				m.err = errs[k]
+				continue
+			}
+			m.art = r.job.finish(i, imgs[k], m.rec)
+		}
+	}
+	if r.cache != nil {
+		for _, i := range leaders {
+			// Publish the computation's own (unwrapped) error, exactly as
+			// cache.Do does; waiters wrap it with their own names.
+			r.members[i].ticket.Complete(r.members[i].art, r.members[i].err)
+		}
+	}
+	for i := lo; i < hi; i++ {
+		if m := &r.members[i]; m.prepErr != nil || m.err != nil {
+			return errBatchFailed
+		}
+	}
+	return nil
 }
 
 // stageImageBatch rasterizes and images a set of masks, routing them
-// through the verification model's batch entry point when it has one. On a
-// batch-level error it falls back to imaging each window individually so
-// every member surfaces exactly the error the per-window path would.
-// Rasters are pooled scratch and are recycled before returning, whatever
-// the outcome.
+// through the verification model's batch entry point when it has one.
+// When the batch call fails, every mask is imaged again on its own, so
+// each window keeps its own error; the fallback is counted in
+// flow.image_batch_fallbacks_total. Rasters are pooled scratch and are
+// recycled before returning, whatever the outcome.
 func stageImageBatch(env *stageEnv, masks [][]geom.Polygon, bounds []geom.Rect, corners []litho.Corner) ([][]*litho.Image, []error) {
 	n := len(masks)
 	imgs := make([][]*litho.Image, n)
 	errs := make([]error, n)
-	if n == 0 {
-		return imgs, errs
-	}
 	recipe := env.Verify.Recipe()
 	rasters := make([]*geom.Raster, n)
 	for i := range masks {
@@ -71,13 +237,16 @@ func stageImageBatch(env *stageEnv, masks [][]geom.Polygon, bounds []geom.Rect, 
 	}
 	batched := false
 	if bm, ok := env.Verify.(litho.BatchModel); ok {
-		if out, err := bm.AerialBatch(rasters, corners); err == nil {
+		out, err := bm.AerialBatch(rasters, corners)
+		if err == nil {
 			copy(imgs, out)
 			batched = true
+		} else {
+			env.met.imageFallbacks.Inc()
 		}
 	}
 	if !batched {
-		for i := range masks {
+		for i := range rasters {
 			imgs[i], errs[i] = env.Verify.AerialSeries(rasters[i], corners)
 		}
 	}
@@ -85,395 +254,4 @@ func stageImageBatch(env *stageEnv, masks [][]geom.Polygon, bounds []geom.Rect, 
 		litho.RecycleRaster(r)
 	}
 	return imgs, errs
-}
-
-// stageWindowBatch computes the window artifacts of one batch: per-window
-// OPC (identical to stageWindow's), one batched imaging call, per-window
-// contour → profile. Results and errors are parallel to clips; a window
-// failing OPC drops out of imaging with its own error. recs are the
-// members' ledger records (parallel to clips; entries may be nil): OPC,
-// contour and profile are attributed per window, while the shared imaging
-// call's duration is stamped on every live member — the batch amortizes
-// one kernel invocation, so each member's image_ns is the batch's.
-func stageWindowBatch(env *stageEnv, clips []layout.CanonicalWindow, sites [][]layout.GateSite, corners []litho.Corner, recs []*obs.WindowRecord, parent obs.SpanID) ([]*WindowArtifact, []error) {
-	n := len(clips)
-	arts := make([]*WindowArtifact, n)
-	errs := make([]error, n)
-	masks := make([][]geom.Polygon, 0, n)
-	bounds := make([]geom.Rect, 0, n)
-	epeVals := make([][]float64, n)
-	live := make([]int, 0, n)
-	for i := range clips {
-		mask, vals, err := stageWindowOPC(env, clips[i], recs[i], parent)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		epeVals[i] = vals
-		masks = append(masks, mask)
-		bounds = append(bounds, clips[i].Bounds)
-		live = append(live, i)
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, imgErrs := stageImageBatch(env, masks, bounds, corners)
-	imageNS := env.met.image.TimedSince(t0)
-	sp.End()
-	for _, i := range live {
-		recs[i].Observe(obs.StageImage, imageNS)
-	}
-	for k, i := range live {
-		if imgErrs[k] != nil {
-			errs[i] = imgErrs[k]
-			continue
-		}
-		arts[i] = stageWindowArtifact(env, imgs[k], sites[i], corners, epeVals[i], recs[i], parent)
-	}
-	return arts, errs
-}
-
-// stageTileBatch is stageWindowBatch's ORC counterpart: per-tile OPC, one
-// batched imaging call, per-tile pinch/bridge/pullback scans. recs follow
-// stageWindowBatch's attribution.
-func stageTileBatch(env *stageEnv, rects [][]geom.Rect, bounds, tiles []geom.Rect, corners []litho.Corner, scan orcScanOptions, recs []*obs.WindowRecord, parent obs.SpanID) ([]*TileArtifact, []error) {
-	n := len(rects)
-	arts := make([]*TileArtifact, n)
-	errs := make([]error, n)
-	masks := make([][]geom.Polygon, 0, n)
-	mBounds := make([]geom.Rect, 0, n)
-	live := make([]int, 0, n)
-	for i := range rects {
-		mask, err := stageTileMask(env, rects[i], recs[i], parent)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		masks = append(masks, mask)
-		mBounds = append(mBounds, bounds[i])
-		live = append(live, i)
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, imgErrs := stageImageBatch(env, masks, mBounds, corners)
-	imageNS := env.met.image.TimedSince(t0)
-	sp.End()
-	for _, i := range live {
-		recs[i].Observe(obs.StageImage, imageNS)
-	}
-	for k, i := range live {
-		if imgErrs[k] != nil {
-			errs[i] = imgErrs[k]
-			continue
-		}
-		arts[i] = stageTileArtifact(env, imgs[k], rects[i], tiles[i], corners, scan)
-	}
-	return arts, errs
-}
-
-// windowItem threads one instance's window through the pipeline stages.
-// Items live in one index-addressed slice, so no stage ever depends on
-// scheduling for where it reads or writes.
-type windowItem struct {
-	err    error
-	skip   bool // prep produced the final error; no wrapping, no kernel work
-	clip   layout.CanonicalWindow
-	csites []layout.GateSite
-	key    cache.Key
-	ticket cache.Ticket
-	wait   bool // non-leader ticket: resolved by the post stage
-	art    *WindowArtifact
-	rec    *obs.WindowRecord // ledger record (nil when no journal)
-}
-
-// extractGatesBatched is the Batch > 1 path of ExtractGates: the resolved
-// instances stream through the prep → kernel → post pipeline in batches of
-// opt.Batch, and results land in the same index-addressed exts slots the
-// per-window path fills.
-func (f *Flow) extractGatesBatched(env *stageEnv, chip *layout.Chip, insts []*layout.Instance, opt ExtractOptions, exts []*GateExtraction, parent obs.SpanID) error {
-	n := len(insts)
-	size := opt.Batch
-	batches := (n + size - 1) / size
-	items := make([]windowItem, n)
-	ambit := env.Verify.Recipe().GuardNM + env.PitchNM
-
-	stages := []par.Stage{
-		{Name: "prep", Fn: func(b int) error {
-			lo, hi := batchRange(n, size, b)
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if env.jrn != nil {
-					// Worker is stamped by the kernel stage's slot; -1 marks
-					// a window that never reached it (prep error).
-					it.rec = &obs.WindowRecord{Index: i, Kind: "window", Class: "compute", Batch: b, Worker: -1}
-				}
-				inst := insts[i]
-				sites := inst.GateSites()
-				if len(sites) == 0 {
-					it.err = fmt.Errorf("flow: instance %s has no gate sites", inst.Name)
-					it.skip = true
-					continue
-				}
-				sp := env.obs.StartChild("stage.clip", parent)
-				t0 := env.met.clip.StartTimer()
-				window := cdx.WindowOf(sites, ambit)
-				it.clip = stageClip(chip, window)
-				it.rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
-				sp.End()
-				if len(it.clip.Polys) == 0 {
-					it.err = fmt.Errorf("flow: no poly in window of %s", inst.Name)
-					it.skip = true
-					continue
-				}
-				sp = env.obs.StartChild("stage.canonicalize", parent)
-				t0 = env.met.canonicalize.StartTimer()
-				it.csites = make([]layout.GateSite, len(sites))
-				for si, s := range sites {
-					it.csites[si] = layout.GateSite{
-						Name:    localSiteName(s.Name),
-						Pin:     s.Pin,
-						Kind:    s.Kind,
-						Channel: s.Channel.Translate(geom.Pt(-it.clip.Origin.X, -it.clip.Origin.Y)),
-					}
-				}
-				it.rec.Observe(obs.StageCanonicalize, env.met.canonicalize.TimedSince(t0))
-				sp.End()
-				if f.Cache != nil || it.rec != nil {
-					it.key = windowSignature(env, it.clip, it.csites, opt.Corners)
-					recordSig(it.rec, it.key)
-				}
-			}
-			return nil
-		}},
-		{Name: "kernel", FnW: func(b, w int) error {
-			lo, hi := batchRange(n, size, b)
-			// Classify each member: ready hits resolve here and skip the
-			// kernels, leaders compute below, non-leaders wait in post.
-			var leaders []int
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if it.skip {
-					continue
-				}
-				if it.rec != nil {
-					it.rec.Worker = w
-				}
-				if f.Cache == nil {
-					leaders = append(leaders, i)
-					continue
-				}
-				tk := f.Cache.Reserve(it.key)
-				switch {
-				case tk.Leader():
-					recordClass(it.rec, "miss")
-					it.ticket = tk
-					leaders = append(leaders, i)
-				case tk.Ready():
-					recordClass(it.rec, "hit")
-					v, err := tk.Wait()
-					art, _ := v.(*WindowArtifact)
-					it.art, it.err = art, err
-				default:
-					recordClass(it.rec, "wait")
-					it.ticket, it.wait = tk, true
-				}
-			}
-			if len(leaders) == 0 {
-				return nil
-			}
-			clips := make([]layout.CanonicalWindow, len(leaders))
-			sites := make([][]layout.GateSite, len(leaders))
-			recs := make([]*obs.WindowRecord, len(leaders))
-			for k, i := range leaders {
-				clips[k] = items[i].clip
-				sites[k] = items[i].csites
-				recs[k] = items[i].rec
-			}
-			arts, errs := stageWindowBatch(env, clips, sites, opt.Corners, recs, parent)
-			for k, i := range leaders {
-				it := &items[i]
-				it.art, it.err = arts[k], errs[k]
-				if f.Cache != nil {
-					// Publish with the computation's own (unwrapped) error,
-					// exactly as Do does; waiters wrap with their own names.
-					it.ticket.Complete(it.art, it.err)
-				}
-			}
-			return nil
-		}},
-		{Name: "post", Fn: func(b int) error {
-			lo, hi := batchRange(n, size, b)
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if it.wait {
-					v, err := it.ticket.Wait()
-					art, _ := v.(*WindowArtifact)
-					it.art, it.err = art, err
-				}
-				env.jrn.Record(it.rec)
-				if it.err != nil {
-					continue
-				}
-				exts[i] = &GateExtraction{
-					Gate:      insts[i].Name,
-					Cell:      insts[i].Cell.Name,
-					Sites:     it.art.Sites,
-					EPE:       it.art.EPE,
-					EPEValues: it.art.EPEValues,
-					Mode:      opt.Mode,
-				}
-			}
-			// The batch's lowest-index error, wrapped exactly as the
-			// per-window path wraps cachedWindow errors (prep errors are
-			// already in final form).
-			for i := lo; i < hi; i++ {
-				if it := &items[i]; it.err != nil {
-					if it.skip {
-						return it.err
-					}
-					return fmt.Errorf("flow: window of %s: %w", insts[i].Name, it.err)
-				}
-			}
-			return nil
-		}},
-	}
-	return par.Pipeline(batches, stages, par.Workers(opt.Workers), par.Obs(f.Obs))
-}
-
-// tileItem threads one ORC tile through the pipeline stages.
-type tileItem struct {
-	err    error
-	origin geom.Point
-	rects  []geom.Rect
-	window geom.Rect // canonical window bounds
-	tile   geom.Rect // canonical interior tile
-	key    cache.Key
-	ticket cache.Ticket
-	wait   bool
-	art    *TileArtifact
-	rec    *obs.WindowRecord // ledger record (nil when no journal)
-}
-
-// verifyChipBatched is the Batch > 1 path of VerifyChip: row-major tiles
-// stream through the prep → kernel → post pipeline, and each tile's shard
-// report lands in its index-addressed slot for the caller's deterministic
-// row-major merge. Tiles whose window holds no poly produce an empty shard,
-// exactly like verifyTile's early return.
-func (f *Flow) verifyChipBatched(env *stageEnv, chip *layout.Chip, tiles []geom.Rect, guard geom.Coord, opt ORCOptions, scan orcScanOptions, shards []*ORCReport, parent obs.SpanID) error {
-	n := len(tiles)
-	size := opt.Batch
-	batches := (n + size - 1) / size
-	items := make([]tileItem, n)
-
-	stages := []par.Stage{
-		{Name: "prep", Fn: func(b int) error {
-			lo, hi := batchRange(n, size, b)
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if env.jrn != nil {
-					it.rec = &obs.WindowRecord{Index: i, Kind: "tile", Class: "compute", Batch: b, Worker: -1}
-				}
-				window := tiles[i].Expand(guard + env.PitchNM)
-				sp := env.obs.StartChild("stage.clip", parent)
-				t0 := env.met.clip.StartTimer()
-				it.origin, it.rects = chip.CanonicalWindowRects(layout.LayerPoly, window)
-				it.rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
-				sp.End()
-				if len(it.rects) == 0 {
-					continue // nothing drawn: an empty shard, not an error
-				}
-				back := geom.Pt(-it.origin.X, -it.origin.Y)
-				it.window = window.Translate(back)
-				it.tile = tiles[i].Translate(back)
-				if f.Cache != nil || it.rec != nil {
-					it.key = tileSignature(env, it.rects, it.window, it.tile, opt.Corners, scan)
-					recordSig(it.rec, it.key)
-				}
-			}
-			return nil
-		}},
-		{Name: "kernel", FnW: func(b, w int) error {
-			lo, hi := batchRange(n, size, b)
-			var leaders []int
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if len(it.rects) == 0 {
-					continue
-				}
-				if it.rec != nil {
-					it.rec.Worker = w
-				}
-				if f.Cache == nil {
-					leaders = append(leaders, i)
-					continue
-				}
-				tk := f.Cache.Reserve(it.key)
-				switch {
-				case tk.Leader():
-					recordClass(it.rec, "miss")
-					it.ticket = tk
-					leaders = append(leaders, i)
-				case tk.Ready():
-					recordClass(it.rec, "hit")
-					v, err := tk.Wait()
-					art, _ := v.(*TileArtifact)
-					it.art, it.err = art, err
-				default:
-					recordClass(it.rec, "wait")
-					it.ticket, it.wait = tk, true
-				}
-			}
-			if len(leaders) == 0 {
-				return nil
-			}
-			rects := make([][]geom.Rect, len(leaders))
-			bounds := make([]geom.Rect, len(leaders))
-			interiors := make([]geom.Rect, len(leaders))
-			recs := make([]*obs.WindowRecord, len(leaders))
-			for k, i := range leaders {
-				rects[k] = items[i].rects
-				bounds[k] = items[i].window
-				interiors[k] = items[i].tile
-				recs[k] = items[i].rec
-			}
-			arts, errs := stageTileBatch(env, rects, bounds, interiors, opt.Corners, scan, recs, parent)
-			for k, i := range leaders {
-				it := &items[i]
-				it.art, it.err = arts[k], errs[k]
-				if f.Cache != nil {
-					it.ticket.Complete(it.art, it.err)
-				}
-			}
-			return nil
-		}},
-		{Name: "post", Fn: func(b int) error {
-			lo, hi := batchRange(n, size, b)
-			for i := lo; i < hi; i++ {
-				it := &items[i]
-				if it.wait {
-					v, err := it.ticket.Wait()
-					art, _ := v.(*TileArtifact)
-					it.art, it.err = art, err
-				}
-				env.jrn.Record(it.rec)
-				shard := &ORCReport{ByKind: map[HotspotKind]int{}}
-				shards[i] = shard
-				if it.err != nil || it.art == nil {
-					continue
-				}
-				shard.ScannedCDs += it.art.ScannedCDs
-				for _, h := range it.art.Hotspots {
-					h.At = geom.Pt(h.At.X+it.origin.X, h.At.Y+it.origin.Y)
-					h.Gate = nearestInstance(chip, h.At)
-					shard.add(h)
-				}
-			}
-			for i := lo; i < hi; i++ {
-				if items[i].err != nil {
-					return items[i].err
-				}
-			}
-			return nil
-		}},
-	}
-	return par.Pipeline(batches, stages, par.Workers(opt.Workers), par.Obs(f.Obs))
 }

@@ -6,13 +6,13 @@ import (
 	"strconv"
 	"strings"
 
+	"postopc/internal/cache"
 	"postopc/internal/cdx"
 	"postopc/internal/geom"
 	"postopc/internal/layout"
 	"postopc/internal/litho"
 	"postopc/internal/obs"
 	"postopc/internal/opc"
-	"postopc/internal/par"
 )
 
 // CornerCD is one gate site's extraction under one process corner.
@@ -65,23 +65,23 @@ type ExtractOptions struct {
 	Corners []litho.Corner
 	// Mode selects the OPC applied to each window.
 	Mode OPCMode
-	// Workers bounds instance-level concurrency in ExtractGates
+	// Workers bounds batch-level concurrency in ExtractGates
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Batch groups windows through the staged batch pipeline (batch.go):
-	// Batch > 1 streams windows in groups of Batch through overlapping
-	// prep → kernel → post stages, amortizing FFT plans and scratch across
-	// each group. Results are byte-identical to the per-window path.
-	// <= 1 keeps the per-window fork-join. Like Workers, Batch is a
-	// scheduling knob and never enters cache signatures.
+	// Batch is the number of windows per batch on the window path
+	// (batch.go; <= 1 means one). A batch images its windows in one
+	// litho.BatchModel call, amortizing FFT plans and scratch across them.
+	// Like Workers, Batch is a scheduling knob: results are byte-identical
+	// at every value, and it never enters cache signatures.
 	Batch int
 }
 
-// ExtractInstance runs the staged window pipeline for one placed instance:
-// clip → canonicalize → OPC → image → contour → profile (see stages.go).
-// All simulation happens in canonical window coordinates, so the result for
-// an instance depends only on its layout context — and, when f.Cache is
-// set, repeated contexts are recalled instead of recomputed.
+// ExtractInstance runs the window path (batch.go) for one placed
+// instance: clip → canonicalize → OPC → image → contour → profile (see
+// stages.go). All simulation happens in canonical window coordinates, so
+// the result for an instance depends only on its layout context — and,
+// when f.Cache is set, repeated contexts are recalled instead of
+// recomputed.
 func (f *Flow) ExtractInstance(chip *layout.Chip, inst *layout.Instance, opt ExtractOptions) (*GateExtraction, error) {
 	env, err := f.envFor(opt.Mode)
 	if err != nil {
@@ -90,43 +90,48 @@ func (f *Flow) ExtractInstance(chip *layout.Chip, inst *layout.Instance, opt Ext
 	if len(opt.Corners) == 0 {
 		opt.Corners = []litho.Corner{litho.Nominal}
 	}
-	return f.extractInstance(env, chip, inst, opt, 0, 0, 0)
+	exts, err := f.extractWindows(env, chip, []*layout.Instance{inst}, opt, 0)
+	if err != nil {
+		return nil, err
+	}
+	return exts[0], nil
 }
 
-// extractInstance is ExtractInstance with the stage environment already
-// built (ExtractGates builds it once for all workers). parent is the
-// telemetry span the per-window stage spans nest under (0 for a root);
-// idx and worker are the window's position and pool slot, recorded in the
-// run ledger — scheduling metadata, never inputs the result depends on.
-func (f *Flow) extractInstance(env *stageEnv, chip *layout.Chip, inst *layout.Instance, opt ExtractOptions, idx, worker int, parent obs.SpanID) (*GateExtraction, error) {
-	var rec *obs.WindowRecord
-	if env.jrn != nil {
-		rec = &obs.WindowRecord{Index: idx, Kind: "window", Class: "compute", Batch: -1, Worker: worker}
-		defer env.jrn.Record(rec)
-	}
+// gateWindows is the extraction job of the window path: one window per
+// placed instance, holding the instance's gate sites.
+type gateWindows struct {
+	env     *stageEnv
+	chip    *layout.Chip
+	insts   []*layout.Instance
+	corners []litho.Corner
+	parent  obs.SpanID
+	clips   []layout.CanonicalWindow
+	sites   [][]layout.GateSite // canonical: cell-local names, window-relative channels
+	epe     [][]float64         // interior EPE samples of each leader's OPC
+}
+
+func (j *gateWindows) prep(i int, rec *obs.WindowRecord) (bool, error) {
+	env, inst := j.env, j.insts[i]
 	sites := inst.GateSites()
 	if len(sites) == 0 {
-		return nil, fmt.Errorf("flow: instance %s has no gate sites", inst.Name)
+		return false, fmt.Errorf("flow: instance %s has no gate sites", inst.Name)
 	}
-	recipe := env.Verify.Recipe()
-	ambit := recipe.GuardNM + env.PitchNM
-	sp := env.obs.StartChild("stage.clip", parent)
+	sp := env.obs.StartChild("stage.clip", j.parent)
 	t0 := env.met.clip.StartTimer()
-	window := cdx.WindowOf(sites, ambit)
-	clip := stageClip(chip, window)
+	clip := stageClip(j.chip, cdx.WindowOf(sites, env.Verify.Recipe().GuardNM+env.PitchNM))
 	rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
 	sp.End()
 	if len(clip.Polys) == 0 {
-		return nil, fmt.Errorf("flow: no poly in window of %s", inst.Name)
+		return false, fmt.Errorf("flow: no poly in window of %s", inst.Name)
 	}
 	// Canonicalize the sites to match the clip: cell-local names,
 	// window-relative channels. Instance identity must not reach the
 	// artifact — it would defeat both caching and determinism.
-	sp = env.obs.StartChild("stage.canonicalize", parent)
+	sp = env.obs.StartChild("stage.canonicalize", j.parent)
 	t0 = env.met.canonicalize.StartTimer()
 	csites := make([]layout.GateSite, len(sites))
-	for i, s := range sites {
-		csites[i] = layout.GateSite{
+	for si, s := range sites {
+		csites[si] = layout.GateSite{
 			Name:    localSiteName(s.Name),
 			Pin:     s.Pin,
 			Kind:    s.Kind,
@@ -135,20 +140,56 @@ func (f *Flow) extractInstance(env *stageEnv, chip *layout.Chip, inst *layout.In
 	}
 	rec.Observe(obs.StageCanonicalize, env.met.canonicalize.TimedSince(t0))
 	sp.End()
-	art, err := f.cachedWindow(env, clip, csites, opt.Corners, rec, parent)
-	if err != nil {
-		return nil, fmt.Errorf("flow: window of %s: %w", inst.Name, err)
+	j.clips[i], j.sites[i] = clip, csites
+	return true, nil
+}
+
+func (j *gateWindows) sign(i int) cache.Key {
+	return windowSignature(j.env, j.clips[i], j.sites[i], j.corners)
+}
+
+func (j *gateWindows) mask(i int, rec *obs.WindowRecord) ([]geom.Polygon, geom.Rect, error) {
+	mask, epe, err := stageWindowOPC(j.env, j.clips[i], rec, j.parent)
+	j.epe[i] = epe
+	return mask, j.clips[i].Bounds, err
+}
+
+func (j *gateWindows) finish(i int, imgs []*litho.Image, rec *obs.WindowRecord) *WindowArtifact {
+	return stageWindowArtifact(j.env, imgs, j.sites[i], j.corners, j.epe[i], rec, j.parent)
+}
+
+func (j *gateWindows) wrap(i int, err error) error {
+	return fmt.Errorf("flow: window of %s: %w", j.insts[i].Name, err)
+}
+
+// extractWindows extracts insts through the window path and returns their
+// extractions by index. env is built once by the caller; parent is the
+// telemetry span the stage spans nest under (0 for a root).
+func (f *Flow) extractWindows(env *stageEnv, chip *layout.Chip, insts []*layout.Instance, opt ExtractOptions, parent obs.SpanID) ([]*GateExtraction, error) {
+	n := len(insts)
+	job := &gateWindows{
+		env: env, chip: chip, insts: insts, corners: opt.Corners, parent: parent,
+		clips: make([]layout.CanonicalWindow, n), sites: make([][]layout.GateSite, n), epe: make([][]float64, n),
 	}
-	// The artifact is shared between cache hits; the extraction borrows its
-	// slices rather than copying, so consumers must not mutate them.
-	return &GateExtraction{
-		Gate:      inst.Name,
-		Cell:      inst.Cell.Name,
-		Sites:     art.Sites,
-		EPE:       art.EPE,
-		EPEValues: art.EPEValues,
-		Mode:      opt.Mode,
-	}, nil
+	arts, err := runWindows[*WindowArtifact](f, env, job, n, opt.Batch, opt.Workers, "window", opt.Corners, parent)
+	if err != nil {
+		return nil, err
+	}
+	exts := make([]*GateExtraction, n)
+	for i, art := range arts {
+		// The artifact is shared between cache hits; the extraction
+		// borrows its slices rather than copying, so consumers must not
+		// mutate them.
+		exts[i] = &GateExtraction{
+			Gate:      insts[i].Name,
+			Cell:      insts[i].Cell.Name,
+			Sites:     art.Sites,
+			EPE:       art.EPE,
+			EPEValues: art.EPEValues,
+			Mode:      opt.Mode,
+		}
+	}
+	return exts, nil
 }
 
 // interiorEPEs keeps only the EPE samples whose fragment control point lies
@@ -226,19 +267,7 @@ func (f *Flow) ExtractGates(chip *layout.Chip, names []string, opt ExtractOption
 	}
 
 	sp := f.Obs.Start("flow.extract")
-	exts := make([]*GateExtraction, len(names))
-	if opt.Batch > 1 {
-		err = f.extractGatesBatched(env, chip, insts, opt, exts, sp.ID())
-	} else {
-		err = par.ForEachWorker(len(names), func(w, i int) error {
-			ext, err := f.extractInstance(env, chip, insts[i], opt, i, w, sp.ID())
-			if err != nil {
-				return err
-			}
-			exts[i] = ext
-			return nil
-		}, par.Workers(opt.Workers), par.Obs(f.Obs))
-	}
+	exts, err := f.extractWindows(env, chip, insts, opt, sp.ID())
 	sp.End()
 	if err != nil {
 		return nil, err

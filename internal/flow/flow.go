@@ -102,9 +102,12 @@ type lazyInits struct {
 	contactErr  error
 }
 
-// small aliases keep the struct doc readable without extra imports in docs
+// deviceModel collapses printed CD profiles to equivalent lengths. Its
+// AppendKey serializes every parameter that can change a result into the
+// cache signatures (see signature.go).
 type deviceModel = interface {
 	EquivalentLengths(kind layout.DeviceKind, cds []float64) (float64, float64, error)
+	AppendKey(dst []byte) []byte
 }
 
 type cdxOptions struct {
@@ -169,9 +172,9 @@ func (f *Flow) EnableCache(maxEntries int) *Flow {
 // EnableObs attaches a telemetry sink to the run and returns f for
 // chaining: the pattern cache (if attached), both litho models, the
 // package-level scratch pools and every graph built afterwards report into
-// it, and the staged pipeline emits per-stage spans and latency
-// histograms. EnableObs in either order with EnableCache works. A nil sink
-// detaches nothing but is harmless — telemetry is already off by default.
+// it, and the window path emits per-stage spans and latency histograms.
+// EnableObs in either order with EnableCache works. A nil sink detaches
+// nothing but is harmless — telemetry is already off by default.
 func (f *Flow) EnableObs(sink *obs.Sink) *Flow {
 	f.Obs = sink
 	if f.Cache != nil {

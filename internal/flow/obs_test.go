@@ -51,8 +51,7 @@ func TestRunObsDeterminism(t *testing.T) {
 
 	// The run-ledger extension of the same contract: a journal + flight
 	// recorder must not perturb a bit either, across the worker × batch ×
-	// cache grid (the batched path stamps records in different stages than
-	// the per-window path, so both are exercised).
+	// cache grid.
 	for _, cached := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			for _, batch := range []int{0, 3} {

@@ -5,11 +5,11 @@ import (
 	"sort"
 	"strconv"
 
+	"postopc/internal/cache"
 	"postopc/internal/geom"
 	"postopc/internal/layout"
 	"postopc/internal/litho"
 	"postopc/internal/obs"
-	"postopc/internal/par"
 )
 
 // The abstract argues for a "post-OPC verification embedded design flow":
@@ -19,10 +19,10 @@ import (
 // process window, and the printed image is scanned for pinching (a line
 // narrowing below the process floor) and bridging (two lines merging).
 //
-// Each tile is computed in canonical (window-origin) coordinates by
-// stageTileScan (stages.go), so tiles holding identical layout context —
-// regular datapaths are full of them — share one simulation through the
-// pattern cache when f.Cache is set.
+// Each tile runs the window path (batch.go) in canonical (window-origin)
+// coordinates, so tiles holding identical layout context — regular
+// datapaths are full of them — share one simulation through the pattern
+// cache when f.Cache is set.
 
 // HotspotKind classifies a printability failure.
 type HotspotKind uint8
@@ -90,11 +90,10 @@ type ORCOptions struct {
 	// The report is identical for every worker count: tiles are merged in
 	// row-major order before hotspots are sorted.
 	Workers int
-	// Batch groups tiles through the staged batch pipeline (batch.go):
-	// Batch > 1 streams tiles in groups of Batch through overlapping
-	// prep → kernel → post stages. The report is byte-identical to the
-	// per-tile path. <= 1 keeps the per-tile fork-join. Like Workers,
-	// Batch is a scheduling knob and never enters cache signatures.
+	// Batch is the number of tiles per batch on the window path
+	// (batch.go; <= 1 means one). Like Workers, Batch is a scheduling
+	// knob: the report is byte-identical at every value, and it never
+	// enters cache signatures.
 	Batch int
 }
 
@@ -161,29 +160,29 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 		j.SetField("flow.orc.tiles", strconv.Itoa(len(tiles)))
 	}
 	sp := f.Obs.Start("flow.orc")
-	shards := make([]*ORCReport, len(tiles))
-	if opt.Batch > 1 {
-		err = f.verifyChipBatched(env, chip, tiles, guard, opt, scan, shards, sp.ID())
-	} else {
-		err = par.ForEachWorker(len(tiles), func(w, i int) error {
-			shard := &ORCReport{ByKind: map[HotspotKind]int{}}
-			if err := f.verifyTile(env, chip, tiles[i], guard, opt.Corners, scan, shard, i, w, sp.ID()); err != nil {
-				return err
-			}
-			shards[i] = shard
-			return nil
-		}, par.Workers(opt.Workers), par.Obs(f.Obs))
+	n := len(tiles)
+	job := &orcTiles{
+		env: env, chip: chip, tiles: tiles, guard: guard, corners: opt.Corners, scan: scan, parent: sp.ID(),
+		origins: make([]geom.Point, n), rects: make([][]geom.Rect, n),
+		windows: make([]geom.Rect, n), interiors: make([]geom.Rect, n),
 	}
+	arts, err := runWindows[*TileArtifact](f, env, job, n, opt.Batch, opt.Workers, "tile", opt.Corners, sp.ID())
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	rep := &ORCReport{ByKind: map[HotspotKind]int{}, Tiles: len(tiles)}
-	for _, shard := range shards {
-		rep.Hotspots = append(rep.Hotspots, shard.Hotspots...)
-		rep.ScannedCDs += shard.ScannedCDs
-		for k, c := range shard.ByKind {
-			rep.ByKind[k] += c
+	// Hotspots map back to chip space with their owning instances, merged
+	// in row-major tile order.
+	rep := &ORCReport{ByKind: map[HotspotKind]int{}, Tiles: n}
+	for i, art := range arts {
+		if art == nil {
+			continue // nothing drawn in the tile
+		}
+		rep.ScannedCDs += art.ScannedCDs
+		for _, h := range art.Hotspots {
+			h.At = geom.Pt(h.At.X+job.origins[i].X, h.At.Y+job.origins[i].Y)
+			h.Gate = nearestInstance(chip, h.At)
+			rep.add(h)
 		}
 	}
 	// Stable sort over the row-major merge: hotspot ordering is
@@ -198,40 +197,55 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 	return rep, nil
 }
 
-// verifyTile scans one tile: the window is clipped and canonicalized, the
-// scan runs (or is recalled) in canonical coordinates, and the resulting
-// hotspots are mapped back to chip space with their owning instances.
-// parent is the telemetry span the tile's stage spans nest under; idx and
-// worker are the tile's position and pool slot for the run ledger.
-func (f *Flow) verifyTile(env *stageEnv, chip *layout.Chip, tile geom.Rect, guard geom.Coord,
-	corners []litho.Corner, scan orcScanOptions, rep *ORCReport, idx, worker int, parent obs.SpanID) error {
-	var rec *obs.WindowRecord
-	if env.jrn != nil {
-		rec = &obs.WindowRecord{Index: idx, Kind: "tile", Class: "compute", Batch: -1, Worker: worker}
-		defer env.jrn.Record(rec)
-	}
-	window := tile.Expand(guard + env.PitchNM)
-	sp := env.obs.StartChild("stage.clip", parent)
+// orcTiles is the ORC job of the window path: one window per tile, the
+// tile grown by the optical guard band and a poly pitch.
+type orcTiles struct {
+	env     *stageEnv
+	chip    *layout.Chip
+	tiles   []geom.Rect // chip coordinates, row-major
+	guard   geom.Coord
+	corners []litho.Corner
+	scan    orcScanOptions
+	parent  obs.SpanID
+	origins []geom.Point  // canonical origin of each tile's window
+	rects   [][]geom.Rect // canonical clipped poly rects
+	// windows and interiors are each tile's window and tile in canonical
+	// coordinates.
+	windows, interiors []geom.Rect
+}
+
+func (j *orcTiles) prep(i int, rec *obs.WindowRecord) (bool, error) {
+	env := j.env
+	window := j.tiles[i].Expand(j.guard + env.PitchNM)
+	sp := env.obs.StartChild("stage.clip", j.parent)
 	t0 := env.met.clip.StartTimer()
-	origin, rects := chip.CanonicalWindowRects(layout.LayerPoly, window)
+	origin, rects := j.chip.CanonicalWindowRects(layout.LayerPoly, window)
 	rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
 	sp.End()
 	if len(rects) == 0 {
-		return nil
+		return false, nil // nothing drawn: an empty tile, not an error
 	}
 	back := geom.Pt(-origin.X, -origin.Y)
-	art, err := f.cachedTile(env, rects, window.Translate(back), tile.Translate(back), corners, scan, rec, parent)
-	if err != nil {
-		return err
-	}
-	rep.ScannedCDs += art.ScannedCDs
-	for _, h := range art.Hotspots {
-		h.At = geom.Pt(h.At.X+origin.X, h.At.Y+origin.Y)
-		h.Gate = nearestInstance(chip, h.At)
-		rep.add(h)
-	}
-	return nil
+	j.origins[i], j.rects[i] = origin, rects
+	j.windows[i], j.interiors[i] = window.Translate(back), j.tiles[i].Translate(back)
+	return true, nil
 }
+
+func (j *orcTiles) sign(i int) cache.Key {
+	return tileSignature(j.env, j.rects[i], j.windows[i], j.interiors[i], j.corners, j.scan)
+}
+
+func (j *orcTiles) mask(i int, rec *obs.WindowRecord) ([]geom.Polygon, geom.Rect, error) {
+	mask, err := stageTileMask(j.env, j.rects[i], rec, j.parent)
+	return mask, j.windows[i], err
+}
+
+func (j *orcTiles) finish(i int, imgs []*litho.Image, _ *obs.WindowRecord) *TileArtifact {
+	return stageTileArtifact(j.env, imgs, j.rects[i], j.interiors[i], j.corners, j.scan)
+}
+
+// wrap returns a tile's error as it is: ORC errors carry no tile name.
+func (j *orcTiles) wrap(_ int, err error) error { return err }
 
 // scanPinches walks each drawn poly rect lengthwise measuring the printed
 // CD across it. Coordinates are canonical (window-relative); hotspots go to

@@ -3,7 +3,6 @@ package flow
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"postopc/internal/cache"
 	"postopc/internal/cdx"
@@ -19,8 +18,8 @@ import (
 // canonical clipped geometry and the per-call parameters (sites, corners,
 // scan settings). Two calls with equal signatures are guaranteed to compute
 // identical artifacts, so the cache can substitute one for the other; the
-// Workers option never enters a signature because scheduling must not
-// change results.
+// Workers and Batch options never enter a signature because scheduling
+// must not change results.
 
 // envFor builds the stage environment for mode, including the fingerprint.
 // It is computed per call, never memoized on the Flow: sweeps tweak shallow
@@ -59,7 +58,7 @@ func (f *Flow) envFor(mode OPCMode) (*stageEnv, error) {
 		b = env.Rule.AppendKey(b)
 	}
 	b = env.CDX.AppendKey(b)
-	b = appendKeyDev(b, env.Dev)
+	b = env.Dev.AppendKey(b)
 	env.fingerprint = b
 	// The run ledger's manifest carries a short digest of the environment
 	// fingerprint, so two ledgers can be checked for comparable inputs
@@ -69,17 +68,6 @@ func (f *Flow) envFor(mode OPCMode) (*stageEnv, error) {
 		env.jrn.SetField("flow.env."+mode.String(), hex.EncodeToString(sum[:8]))
 	}
 	return env, nil
-}
-
-// appendKeyDev serializes the device model. The kit's device.Model keys its
-// parameters precisely; an injected model without AppendKey falls back to
-// its Go-syntax representation, which covers exported state of comparable
-// implementations.
-func appendKeyDev(dst []byte, dev deviceModel) []byte {
-	if k, ok := dev.(interface{ AppendKey([]byte) []byte }); ok {
-		return k.AppendKey(dst)
-	}
-	return geom.AppendKeyString(dst, fmt.Sprintf("%#v", dev))
 }
 
 // windowSignature keys one gate-extraction window: environment, canonical
@@ -129,68 +117,4 @@ func recordClass(rec *obs.WindowRecord, class string) {
 	if rec != nil {
 		rec.Class = class
 	}
-}
-
-// cachedWindow computes (or recalls) the window artifact for one canonical
-// clip. With no cache attached it simply runs the stages. parent is the
-// telemetry span the stage spans nest under; it never enters the
-// signature (a cache hit recalls the artifact without re-running — and
-// therefore without re-tracing — the stages). rec, when non-nil, receives
-// the window's signature and cache classification for the run ledger; it
-// mirrors cache.Do's attribution exactly (leader = miss, ready = hit,
-// blocked single-flight = wait) and never feeds back into the result.
-func (f *Flow) cachedWindow(env *stageEnv, clip layout.CanonicalWindow, sites []layout.GateSite, corners []litho.Corner, rec *obs.WindowRecord, parent obs.SpanID) (*WindowArtifact, error) {
-	if f.Cache == nil {
-		// No cache: signatures are computed only when the ledger wants
-		// them, so uninstrumented runs keep skipping the hash entirely.
-		if rec != nil {
-			recordSig(rec, windowSignature(env, clip, sites, corners))
-		}
-		return stageWindow(env, clip, sites, corners, rec, parent)
-	}
-	key := windowSignature(env, clip, sites, corners)
-	recordSig(rec, key)
-	tk := f.Cache.Reserve(key)
-	if tk.Leader() {
-		recordClass(rec, "miss")
-		art, err := stageWindow(env, clip, sites, corners, rec, parent)
-		tk.Complete(art, err)
-		return art, err
-	}
-	if tk.Ready() {
-		recordClass(rec, "hit")
-	} else {
-		recordClass(rec, "wait")
-	}
-	v, err := tk.Wait()
-	art, _ := v.(*WindowArtifact)
-	return art, err
-}
-
-// cachedTile computes (or recalls) the scan artifact for one canonical ORC
-// tile, with the same ledger attribution as cachedWindow.
-func (f *Flow) cachedTile(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, scan orcScanOptions, rec *obs.WindowRecord, parent obs.SpanID) (*TileArtifact, error) {
-	if f.Cache == nil {
-		if rec != nil {
-			recordSig(rec, tileSignature(env, rects, bounds, tile, corners, scan))
-		}
-		return stageTileScan(env, rects, bounds, tile, corners, scan, rec, parent)
-	}
-	key := tileSignature(env, rects, bounds, tile, corners, scan)
-	recordSig(rec, key)
-	tk := f.Cache.Reserve(key)
-	if tk.Leader() {
-		recordClass(rec, "miss")
-		art, err := stageTileScan(env, rects, bounds, tile, corners, scan, rec, parent)
-		tk.Complete(art, err)
-		return art, err
-	}
-	if tk.Ready() {
-		recordClass(rec, "hit")
-	} else {
-		recordClass(rec, "wait")
-	}
-	v, err := tk.Wait()
-	art, _ := v.(*TileArtifact)
-	return art, err
 }

@@ -11,14 +11,16 @@ import (
 
 // This file decomposes the per-window work of extraction (extract.go) and
 // full-chip ORC (orc.go) into staged units — clip → canonicalize → OPC →
-// image → contour → profile — communicating through typed artifacts. Every
-// stage computes in canonical (window-origin) coordinates: the clipped
-// geometry is translated so the window's lower-left corner is (0,0) before
-// any simulation, which makes every float downstream a pure function of the
-// window's content rather than of its chip position. That purity is what
-// the content-addressed pattern cache (signature.go) relies on; it also
-// means the cached and uncached paths run the same code on the same bytes,
-// so enabling the cache can never change a result.
+// image → contour → profile — communicating through typed artifacts. The
+// window path (batch.go) runs them, imaging a batch of windows in one call
+// (stageImageBatch). Every stage computes in canonical (window-origin)
+// coordinates: the clipped geometry is translated so the window's
+// lower-left corner is (0,0) before any simulation, which makes every
+// float downstream a pure function of the window's content rather than of
+// its chip position. That purity is what the content-addressed pattern
+// cache (signature.go) relies on; it also means the cached and uncached
+// paths run the same code on the same bytes, so enabling the cache can
+// never change a result.
 //
 // Stage functions are deliberately free functions over an explicit
 // *stageEnv, never methods on Flow: everything they read is either a
@@ -64,9 +66,11 @@ type stageEnv struct {
 }
 
 // stageMetrics are the pre-resolved per-stage latency histograms of one
-// environment. All handles are nil (no-ops) when telemetry is off.
+// environment, and the count of failed batch imaging calls. All handles
+// are nil (no-ops) when telemetry is off.
 type stageMetrics struct {
 	clip, canonicalize, opc, image, contour, profile *obs.Histogram
+	imageFallbacks                                   *obs.Counter
 }
 
 // newStageMetrics resolves the per-stage histograms from the sink.
@@ -78,6 +82,8 @@ func newStageMetrics(sink *obs.Sink) stageMetrics {
 		image:        sink.LatencyHistogram("flow.stage.image_ns"),
 		contour:      sink.LatencyHistogram("flow.stage.contour_ns"),
 		profile:      sink.LatencyHistogram("flow.stage.profile_ns"),
+
+		imageFallbacks: sink.Counter("flow.image_batch_fallbacks_total"),
 	}
 }
 
@@ -178,18 +184,6 @@ func stageOPC(env *stageEnv, drawn []geom.Polygon, interior geom.Rect, measureEP
 	}
 }
 
-// stageImage rasterizes the mask over the canonical window and images it
-// through the requested corners with the verification model. The raster is
-// pooled scratch: models never retain it past AerialSeries, so it is handed
-// back for the next window regardless of the call's outcome.
-func stageImage(env *stageEnv, mask []geom.Polygon, bounds geom.Rect, corners []litho.Corner) ([]*litho.Image, error) {
-	recipe := env.Verify.Recipe()
-	raster := litho.RasterizeInWindow(mask, bounds, recipe.PixelNM)
-	imgs, err := env.Verify.AerialSeries(raster, corners)
-	litho.RecycleRaster(raster)
-	return imgs, err
-}
-
 // stageContour extracts each gate site's printed CD profile from the
 // corner images: the resist contour is sampled across every site's channel
 // at each corner's effective threshold. Extractions are independent per
@@ -239,10 +233,9 @@ func stageProfile(env *stageEnv, gates [][]cdx.GateCD, sites []layout.GateSite, 
 	return out
 }
 
-// stageWindowOPC runs the OPC half of one window's chain (with its span
-// and timer) — shared verbatim by the per-window and batched paths so the
-// corrected mask and EPE samples are byte-identical between them. rec
-// receives the stage's duration for the run ledger (nil when no ledger).
+// stageWindowOPC runs the OPC stage of one gate window (with its span and
+// timer). rec receives the stage's duration for the run ledger (nil when
+// no ledger).
 func stageWindowOPC(env *stageEnv, clip layout.CanonicalWindow, rec *obs.WindowRecord, parent obs.SpanID) (mask []geom.Polygon, epeValues []float64, err error) {
 	guard := env.Verify.Recipe().GuardNM
 	sp := env.obs.StartChild("stage.opc", parent)
@@ -253,9 +246,8 @@ func stageWindowOPC(env *stageEnv, clip layout.CanonicalWindow, rec *obs.WindowR
 	return mask, epeValues, err
 }
 
-// stageWindowArtifact runs the contour → profile half of one window's chain
-// over already-computed corner images — shared verbatim by the per-window
-// and batched paths.
+// stageWindowArtifact runs the contour → profile stages of one gate
+// window over its corner images.
 func stageWindowArtifact(env *stageEnv, imgs []*litho.Image, sites []layout.GateSite, corners []litho.Corner, epeValues []float64, rec *obs.WindowRecord, parent obs.SpanID) *WindowArtifact {
 	sp := env.obs.StartChild("stage.contour", parent)
 	t0 := env.met.contour.StartTimer()
@@ -276,28 +268,8 @@ func stageWindowArtifact(env *stageEnv, imgs []*litho.Image, sites []layout.Gate
 	return art
 }
 
-// stageWindow chains OPC → image → contour → profile over one canonical
-// clip: the unit of work the pattern cache memoizes for gate extraction.
-// parent is the telemetry span the stage spans nest under (0 when tracing
-// is off or the caller has no enclosing span).
-func stageWindow(env *stageEnv, clip layout.CanonicalWindow, sites []layout.GateSite, corners []litho.Corner, rec *obs.WindowRecord, parent obs.SpanID) (*WindowArtifact, error) {
-	mask, epeValues, err := stageWindowOPC(env, clip, rec, parent)
-	if err != nil {
-		return nil, err
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, err := stageImage(env, mask, clip.Bounds, corners)
-	rec.Observe(obs.StageImage, env.met.image.TimedSince(t0))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return stageWindowArtifact(env, imgs, sites, corners, epeValues, rec, parent), nil
-}
-
-// stageTileMask runs the OPC half of one tile's chain (with its span and
-// timer) — shared verbatim by the per-tile and batched paths.
+// stageTileMask runs the OPC stage of one ORC tile (with its span and
+// timer).
 func stageTileMask(env *stageEnv, rects []geom.Rect, rec *obs.WindowRecord, parent obs.SpanID) ([]geom.Polygon, error) {
 	var drawn []geom.Polygon
 	for _, r := range rects {
@@ -312,8 +284,8 @@ func stageTileMask(env *stageEnv, rects []geom.Rect, rec *obs.WindowRecord, pare
 }
 
 // stageTileArtifact runs the pinch / bridge / pullback scans of one tile
-// over already-computed corner images — shared verbatim by the per-tile and
-// batched paths.
+// over its corner images. rects are the canonical clipped poly rects, tile
+// the canonical interior tile that owns the hotspots.
 func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, tile geom.Rect, corners []litho.Corner, scan orcScanOptions) *TileArtifact {
 	art := &TileArtifact{}
 	drawnRegion := geom.RegionFromRects(rects...).Normalize()
@@ -324,24 +296,4 @@ func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, ti
 		scanBridges(env, imgs[ci], rects, drawnRegion, tile, th, corner, scan, art)
 	}
 	return art
-}
-
-// stageTileScan is the ORC counterpart of stageWindow: OPC → image → pinch
-// / bridge / pullback scans over one canonical tile window. rects are the
-// canonical clipped poly rects, bounds the canonical window, tile the
-// canonical interior tile that owns the hotspots.
-func stageTileScan(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, scan orcScanOptions, rec *obs.WindowRecord, parent obs.SpanID) (*TileArtifact, error) {
-	mask, err := stageTileMask(env, rects, rec, parent)
-	if err != nil {
-		return nil, err
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, err := stageImage(env, mask, bounds, corners)
-	rec.Observe(obs.StageImage, env.met.image.TimedSince(t0))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return stageTileArtifact(env, imgs, rects, tile, corners, scan), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"postopc/internal/dsp/vek"
 	"postopc/internal/geom"
 	"postopc/internal/obs"
 )
@@ -170,15 +171,7 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 	}
 	for iy := 0; iy < ny; iy++ {
 		copy(pad[half:half+nx], amp[iy*nx:(iy+1)*nx])
-		row := tmp[iy*nx : (iy+1)*nx]
-		for ix := 0; ix < nx; ix++ {
-			var s float64
-			win := pad[ix : ix+2*half+1]
-			for j, k := range kern {
-				s += win[j] * k
-			}
-			row[ix] = s
-		}
+		vek.ConvRow(tmp[iy*nx:(iy+1)*nx], pad, kern)
 	}
 	// Vertical pass, accumulated row-wise for sequential memory access.
 	// dst is an accumulator here, so it is zeroed first.
@@ -197,10 +190,7 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 				}
 				continue
 			}
-			src := tmp[j*nx : (j+1)*nx]
-			for ix := range row {
-				row[ix] += src[ix] * w
-			}
+			vek.AddScaled(row, tmp[j*nx:(j+1)*nx], w)
 		}
 	}
 }

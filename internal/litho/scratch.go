@@ -99,7 +99,7 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// rasterPool recycles mask rasters for the window pipeline: the raster is
+// rasterPool recycles mask rasters for the window path: the raster is
 // scratch — models read it during Aerial and never retain it — so staged
 // callers hand it back with RecycleRaster once imaging is done.
 var rasterPool sync.Pool

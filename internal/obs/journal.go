@@ -74,8 +74,8 @@ type Manifest struct {
 // window never executed (cache hit, wait) stays 0. Class is the cache
 // classification: "compute" (no cache), "miss" (leader, computed and
 // published), "hit" (served from cache), "wait" (blocked on another
-// window's single-flight computation). Batch is -1 on the per-window
-// path; Worker is the pool slot that ran the window's kernel work.
+// window's single-flight computation). Batch is the index of the batch
+// that ran the window; Worker is the pool slot that ran that batch.
 type WindowRecord struct {
 	Index  int
 	Kind   string // "window" | "tile"
