@@ -28,9 +28,13 @@ test:
 	$(GO) test ./...
 
 # Explicit timeout: the flow suite alone runs ~9-10 min under the
-# detector, right at go test's 600s per-binary default.
+# detector, right at go test's 600s per-binary default. The second line
+# repeats the timing library and STA suites (well under a second each
+# without the detector) to shake out races on the per-cell input
+# capacitances that every Eval of a cell shares.
 race:
 	$(GO) test -race -timeout 1800s ./...
+	$(GO) test -race -count=10 ./internal/timinglib/ ./internal/sta/
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
@@ -59,7 +63,8 @@ bench-obs:
 
 # Multi-corner STA smoke: one iteration of the process-window sign-off
 # bench on the -short datapath block (full vs incremental re-analysis,
-# single corner and whole grid). Reference numbers: BENCH_sta.json.
+# single corner and whole grid, and 200 Monte Carlo samples serial and
+# parallel). Reference numbers: BENCH_sta.json.
 bench-sta:
 	$(GO) test -short -run=NONE -bench=MultiCornerSTA -benchtime=1x .
 

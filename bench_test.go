@@ -1001,9 +1001,10 @@ func fabricateExtractions(b *testing.B, lib *stdcell.Library, nl *netlist.Netlis
 // the repeated-context datapath chip (DatapathRegular, the cache bench's
 // strip design): a full analysis per corner vs incremental re-analysis from
 // the nominal baseline, as single analyses and over the whole (defocus ×
-// dose × guardband) grid, serial and corner-parallel. Only the tagged
-// critical gates carry annotations — the TagTopK regime the incremental
-// engine exploits. Reference numbers: BENCH_sta.json.
+// dose × guardband) grid, serial and corner-parallel, and 200 Monte Carlo
+// samples, serial and sample-parallel. Only the tagged critical gates carry
+// annotations — the TagTopK regime the incremental engine exploits.
+// Reference numbers: BENCH_sta.json.
 func BenchmarkMultiCornerSTA(b *testing.B) {
 	f := getFixtures(b)
 	chains, depth := 64, 10
@@ -1067,6 +1068,18 @@ func BenchmarkMultiCornerSTA(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := g.MultiCorner(cfg, grid, m.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"montecarlo/serial", 1}, {"montecarlo/parallel", 0}} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := vm.MonteCarloWorkers(g, cfg, 200, 7, w.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

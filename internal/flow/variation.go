@@ -255,18 +255,28 @@ func (m MCResult) Percentile(p float64) float64 {
 }
 
 // MonteCarlo samples process excursions (focus ~ N(0, F/3), dose ~
-// N(1, Δd/3), per-site random CD ~ N(0, σ)) and re-runs STA per sample,
-// fanning samples out over up to GOMAXPROCS workers. See MonteCarloWorkers
-// for the determinism contract and explicit worker control.
+// N(1, Δd/3), per-site random CD ~ N(0, σ)) and times each sample by
+// incremental re-analysis from one nominal baseline, fanning samples out
+// over up to GOMAXPROCS workers. See MonteCarloWorkers for the incremental
+// scheme, the determinism contract and explicit worker control.
 func (vm *VariationModel) MonteCarlo(g *sta.Graph, cfg sta.Config, samples int, seed int64) (MCResult, error) {
 	return vm.MonteCarloWorkers(g, cfg, samples, seed, 0)
 }
 
 // MonteCarloWorkers is MonteCarlo with an explicit worker bound
-// (0 = GOMAXPROCS, 1 = serial). The result depends only on the seed, never
-// on the worker count: each sample's RNG stream is seeded up front from a
-// master stream over the given seed, samples are merged in sample order,
-// and only then are the WNS/Leak distributions sorted.
+// (0 = GOMAXPROCS, 1 = serial).
+//
+// Every sample annotates the same gates, the model's, so the model's
+// nominal annotation set is analyzed in full once and each sample runs
+// Graph.AnalyzeIncremental from it: it re-evaluates only the model's gates
+// and re-propagates only their fan-out cone, bit-identical to a full
+// Analyze. A sample reads only WNS and LeakNW, so every analysis runs at
+// KPaths 1.
+//
+// The result depends only on the seed, never on the worker count: each
+// sample's RNG stream is seeded up front from a master stream over the
+// given seed, samples are merged in sample order, and only then are the
+// WNS/Leak distributions sorted.
 func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, samples int, seed int64, workers int) (MCResult, error) {
 	var out MCResult
 	if samples <= 0 {
@@ -278,14 +288,20 @@ func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, sample
 		seeds[s] = master.Int63()
 	}
 	sp := vm.Obs.Start("flow.montecarlo")
+	defer sp.End()
+	cfg.KPaths = 1
+	base, err := g.Analyze(cfg, vm.Annotations(0, 1, nil))
+	if err != nil {
+		return out, err
+	}
 	cSamples := vm.Obs.Counter("sta.mc_samples_total")
 	wns := make([]float64, samples)
 	leak := make([]float64, samples)
-	err := par.ForEach(samples, func(s int) error {
+	err = par.ForEach(samples, func(s int) error {
 		rnd := rand.New(rand.NewSource(seeds[s]))
 		f := rnd.NormFloat64() * vm.PW.DefocusNM / 3
 		d := 1 + rnd.NormFloat64()*vm.PW.DoseFrac/3
-		res, err := g.Analyze(cfg, vm.Annotations(f, d, rnd))
+		res, err := g.AnalyzeIncremental(cfg, vm.Annotations(f, d, rnd), base)
 		if err != nil {
 			return err
 		}
@@ -293,7 +309,6 @@ func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, sample
 		wns[s], leak[s] = res.WNS, res.LeakNW
 		return nil
 	}, par.Workers(workers), par.Obs(vm.Obs))
-	sp.End()
 	if err != nil {
 		return out, err
 	}

@@ -1,10 +1,13 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"postopc/internal/obs"
 	"postopc/internal/sta"
 )
 
@@ -52,6 +55,21 @@ func TestPercentileNotTruncationBiased(t *testing.T) {
 	}
 }
 
+// goldenMonteCarloSHA pins the serial run of
+// TestMonteCarloParallelMatchesSerial (48 samples, seed 7, on the fullRun
+// fixture): the bits of the sorted WNS and Leak samples, MeanWNS and
+// StdWNS. It holds at every GOAMD64 level CI runs (v1 and v3).
+const goldenMonteCarloSHA = "dcc41ffa90df0bca6a13b1d4155de11f8761e37700d04f555f57d4a3862e3c47"
+
+func renderMCBits(mc MCResult) string {
+	var b strings.Builder
+	for i := range mc.WNS {
+		fmt.Fprintf(&b, "%016x %016x\n", math.Float64bits(mc.WNS[i]), math.Float64bits(mc.Leak[i]))
+	}
+	fmt.Fprintf(&b, "mean %016x std %016x\n", math.Float64bits(mc.MeanWNS), math.Float64bits(mc.StdWNS))
+	return b.String()
+}
+
 func TestMonteCarloParallelMatchesSerial(t *testing.T) {
 	res := fullRun(t)
 	f := fastFlow(t)
@@ -63,6 +81,9 @@ func TestMonteCarloParallelMatchesSerial(t *testing.T) {
 	serial, err := vm.MonteCarloWorkers(res.Graph, cfg, 48, 7, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := sha256Hex(renderMCBits(serial)); got != goldenMonteCarloSHA {
+		t.Fatalf("serial Monte Carlo digest %s, want %s", got, goldenMonteCarloSHA)
 	}
 	for _, workers := range []int{0, 2, 5} {
 		parallel, err := vm.MonteCarloWorkers(res.Graph, cfg, 48, 7, workers)
@@ -97,5 +118,42 @@ func TestMonteCarloNoSamples(t *testing.T) {
 	}
 	if len(mc.WNS) != 0 || len(mc.Leak) != 0 {
 		t.Fatalf("zero-sample MC returned data: %+v", mc)
+	}
+}
+
+// TestMonteCarloRunsIncrementally checks on an instrumented graph that
+// Monte Carlo runs one full analysis, its nominal baseline, and one
+// incremental analysis per sample, none of which falls back to a full one.
+func TestMonteCarloRunsIncrementally(t *testing.T) {
+	res := fullRun(t)
+	f := fastFlow(t)
+	vm, err := BuildVariationModel(res.Extractions, f.PDK.Window, f.PDK.Device.SigmaLRandomNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sta.Build(res.Netlist, f.Lib, f.TL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewSink()
+	g.Instrument(sink)
+	vm.Obs = sink
+	const samples = 24
+	if _, err := vm.MonteCarloWorkers(g, sta.DefaultConfig(1500), samples, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]uint64{}
+	for _, c := range sink.Metrics.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	for name, want := range map[string]uint64{
+		"sta.mc_samples_total":            samples,
+		"sta.analyses_total":              1,
+		"sta.incremental_analyses_total":  samples,
+		"sta.incremental_fallbacks_total": 0,
+	} {
+		if counters[name] != want {
+			t.Errorf("%s = %d, want %d", name, counters[name], want)
+		}
 	}
 }

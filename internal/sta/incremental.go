@@ -29,14 +29,16 @@ import (
 // boundary conditions (InputSlewPS, PrimaryLoadFF, WireLoads). ClockPS,
 // SetupPS and KPaths may differ — they only shape required times and path
 // reporting, which are always recomputed. When the baseline is unusable —
-// nil, from an older serialization without retained state, differing
-// boundary conditions, or when either annotation set carries the "*"
-// blanket default (which touches every gate) — AnalyzeIncremental falls
-// back to a full Analyze. Telemetry: "sta.incremental_analyses_total",
+// nil, from a different graph, differing boundary conditions, or when
+// either annotation set carries the "*" blanket default (which touches
+// every gate) — AnalyzeIncremental falls back to a full Analyze and counts
+// the fallback in "sta.incremental_fallbacks_total" (incrementalOK names
+// the reason). Telemetry: "sta.incremental_analyses_total",
 // "sta.incremental_gate_evals" (candidates re-evaluated) and
 // "sta.incremental_cone_gates" (arrivals recomputed).
 func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*Result, error) {
-	if !g.incrementalOK(cfg, ann, base) {
+	if g.incrementalOK(cfg, ann, base) != "" {
+		g.cFallbacks.Inc()
 		return g.Analyze(cfg, ann)
 	}
 	tA := g.hAnalyze.StartTimer()
@@ -161,24 +163,42 @@ func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*
 	return res, nil
 }
 
-// incrementalOK reports whether the baseline can seed an incremental
-// re-analysis under the new config and annotations.
-func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) bool {
-	if base == nil || base.arr == nil || base.evals == nil || base.loads == nil {
-		return false
+// Reasons incrementalOK gives for refusing a baseline.
+const (
+	refuseNilBaseline  = "nil baseline"
+	refuseForeignGraph = "baseline from a different graph"
+	refuseBlanket      = `blanket "*" annotation`
+	refuseInputSlew    = "InputSlewPS differs"
+	refusePrimaryLoad  = "PrimaryLoadFF differs"
+	refuseWireLoads    = "WireLoads differ"
+)
+
+// incrementalOK returns "" when the baseline can seed an incremental
+// re-analysis under the new config and annotations, and the reason it
+// cannot otherwise.
+func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) string {
+	if base == nil {
+		return refuseNilBaseline
 	}
-	if len(base.evals) != len(g.Netlist.Gates) || len(base.arr) != len(g.netNames) {
-		return false // baseline from a different graph
+	// Only Analyze and AnalyzeIncremental on this graph set base.g, and
+	// they always retain the arrival, eval and load state.
+	if base.g != g {
+		return refuseForeignGraph
 	}
 	if ann["*"] != nil || base.ann["*"] != nil {
-		return false // blanket default touches every gate: cone is the chip
+		return refuseBlanket // blanket default touches every gate: cone is the chip
 	}
 	// Arrival-relevant boundary conditions must match; required-time knobs
 	// (ClockPS, SetupPS, KPaths) are always recomputed and may differ.
-	if cfg.InputSlewPS != base.cfg.InputSlewPS || cfg.PrimaryLoadFF != base.cfg.PrimaryLoadFF {
-		return false
+	switch {
+	case cfg.InputSlewPS != base.cfg.InputSlewPS:
+		return refuseInputSlew
+	case cfg.PrimaryLoadFF != base.cfg.PrimaryLoadFF:
+		return refusePrimaryLoad
+	case !wireLoadsEqual(cfg.WireLoads, base.cfg.WireLoads):
+		return refuseWireLoads
 	}
-	return wireLoadsEqual(cfg.WireLoads, base.cfg.WireLoads)
+	return ""
 }
 
 func (g *Graph) anyInputDirty(gi int, dirtyNet []bool) bool {

@@ -194,45 +194,62 @@ func TestIncrementalSharesCleanArrivals(t *testing.T) {
 
 // TestIncrementalFallsBackToFull covers the baselines an incremental
 // analysis must refuse: wrong boundary conditions, blanket annotations, nil
-// or foreign baselines. In every case the result must still be
+// or foreign baselines. Each refusal names its reason and moves
+// "sta.incremental_fallbacks_total", and the result must still be
 // byte-identical to a full Analyze.
 func TestIncrementalFallsBackToFull(t *testing.T) {
 	n := netlist.RippleCarryAdder(4)
 	g := buildGraph(t, n)
+	sink := obs.NewSink()
+	g.Instrument(sink)
+	fallbacks := sink.Counter("sta.incremental_fallbacks_total")
 	cfg := DefaultConfig(2500)
 	base, err := g.Analyze(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := buildGraph(t, netlist.RippleCarryAdder(4)).Analyze(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ann := Annotations{n.Gates[2].Name: timinglib.Uniform(94)}
 
 	cases := []struct {
-		name string
-		cfg  Config
-		ann  Annotations
-		base *Result
-		ok   bool // incrementalOK expectation
+		name   string
+		cfg    Config
+		ann    Annotations
+		base   *Result
+		reason string // incrementalOK expectation; "" = incremental
 	}{
-		{"nil baseline", cfg, ann, nil, false},
-		{"blanket annotation", cfg, Annotations{"*": timinglib.Uniform(94)}, base, false},
-		{"slew changed", func() Config { c := cfg; c.InputSlewPS = cfg.InputSlewPS * 2; return c }(), ann, base, false},
-		{"load changed", func() Config { c := cfg; c.PrimaryLoadFF += 1; return c }(), ann, base, false},
-		{"wire loads added", func() Config { c := cfg; c.WireLoads = map[string]float64{"s0": 0.5}; return c }(), ann, base, false},
-		{"clock changed is fine", func() Config { c := cfg; c.ClockPS = 9000; return c }(), ann, base, true},
-		{"kpaths changed is fine", func() Config { c := cfg; c.KPaths = 2; return c }(), ann, base, true},
+		{"nil baseline", cfg, ann, nil, refuseNilBaseline},
+		{"foreign graph", cfg, ann, foreign, refuseForeignGraph},
+		{"blanket annotation", cfg, Annotations{"*": timinglib.Uniform(94)}, base, refuseBlanket},
+		{"slew changed", func() Config { c := cfg; c.InputSlewPS = cfg.InputSlewPS * 2; return c }(), ann, base, refuseInputSlew},
+		{"load changed", func() Config { c := cfg; c.PrimaryLoadFF += 1; return c }(), ann, base, refusePrimaryLoad},
+		{"wire loads added", func() Config { c := cfg; c.WireLoads = map[string]float64{"s0": 0.5}; return c }(), ann, base, refuseWireLoads},
+		{"clock changed is fine", func() Config { c := cfg; c.ClockPS = 9000; return c }(), ann, base, ""},
+		{"kpaths changed is fine", func() Config { c := cfg; c.KPaths = 2; return c }(), ann, base, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := g.incrementalOK(tc.cfg, tc.ann, tc.base); got != tc.ok {
-				t.Fatalf("incrementalOK = %v, want %v", got, tc.ok)
+			if got := g.incrementalOK(tc.cfg, tc.ann, tc.base); got != tc.reason {
+				t.Fatalf("incrementalOK = %q, want %q", got, tc.reason)
 			}
 			full, err := g.Analyze(tc.cfg, tc.ann)
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := fallbacks.Value()
 			incr, err := g.AnalyzeIncremental(tc.cfg, tc.ann, tc.base)
 			if err != nil {
 				t.Fatal(err)
+			}
+			want := uint64(0)
+			if tc.reason != "" {
+				want = 1
+			}
+			if got := fallbacks.Value() - before; got != want {
+				t.Fatalf("fallback counter moved by %d, want %d", got, want)
 			}
 			requireResultsIdentical(t, tc.name, full, incr)
 		})

@@ -78,6 +78,7 @@ type Graph struct {
 	// Write-only: telemetry never alters an analysis result.
 	cAnalyses  *obs.Counter
 	cIncr      *obs.Counter
+	cFallbacks *obs.Counter
 	cCorners   *obs.Counter
 	hAnalyze   *obs.Histogram
 	hArrival   *obs.Histogram
@@ -90,14 +91,16 @@ type Graph struct {
 // ("sta.analyses_total"), whole-Analyze latency ("sta.analyze_ns"), the
 // arrival-propagation inner phase ("sta.arrival_propagation_ns"), the
 // multi-corner counters ("sta.corners_total",
-// "sta.incremental_analyses_total") and the full-vs-incremental gate-eval
-// histograms ("sta.full_gate_evals", "sta.incremental_gate_evals",
-// "sta.incremental_cone_gates"). Call before the graph is shared between
-// workers (Monte Carlo and MultiCorner run Analyze concurrently); a nil or
-// disabled sink is a no-op.
+// "sta.incremental_analyses_total", and "sta.incremental_fallbacks_total"
+// for incremental requests answered by a full Analyze) and the
+// full-vs-incremental gate-eval histograms ("sta.full_gate_evals",
+// "sta.incremental_gate_evals", "sta.incremental_cone_gates"). Call before
+// the graph is shared between workers (Monte Carlo and MultiCorner run
+// analyses concurrently); a nil or disabled sink is a no-op.
 func (g *Graph) Instrument(sink *obs.Sink) {
 	g.cAnalyses = sink.Counter("sta.analyses_total")
 	g.cIncr = sink.Counter("sta.incremental_analyses_total")
+	g.cFallbacks = sink.Counter("sta.incremental_fallbacks_total")
 	g.cCorners = sink.Counter("sta.corners_total")
 	g.hAnalyze = sink.LatencyHistogram("sta.analyze_ns")
 	g.hArrival = sink.LatencyHistogram("sta.arrival_propagation_ns")
@@ -607,11 +610,10 @@ func (r *Result) ArrivalOf(net string) (ps float64, ok bool) {
 }
 
 // CriticalGates returns the union of gate names on the k worst paths — the
-// paper's "tagged critical gates".
+// paper's "tagged critical gates". k is clamped to the reported paths; k ≤ 0
+// tags no gates.
 func (r *Result) CriticalGates(k int) []string {
-	if k > len(r.Paths) {
-		k = len(r.Paths)
-	}
+	k = min(max(k, 0), len(r.Paths))
 	seen := map[string]bool{}
 	var out []string
 	for _, p := range r.Paths[:k] {

@@ -217,6 +217,12 @@ func TestCriticalGatesTagging(t *testing.T) {
 	if got := res.CriticalGates(100); len(got) < len(tags) {
 		t.Fatal("clamped tagging lost gates")
 	}
+	// No paths requested, or a negative count, tags nothing.
+	for _, k := range []int{0, -1, -100} {
+		if got := res.CriticalGates(k); len(got) != 0 {
+			t.Fatalf("CriticalGates(%d) = %v, want none", k, got)
+		}
+	}
 }
 
 func TestWireLoadsMissingNetFallsBack(t *testing.T) {

@@ -13,6 +13,7 @@ package timinglib
 
 import (
 	"fmt"
+	"sync"
 
 	"postopc/internal/device"
 	"postopc/internal/layout"
@@ -58,7 +59,8 @@ func Guardband(deltaNM float64) Annotator {
 // Eval holds the evaluated electrical view of one cell (for one
 // annotation).
 type Eval struct {
-	// CinFF maps input pin -> capacitance (fF).
+	// CinFF maps input pin -> capacitance (fF). Cin depends only on drawn
+	// geometry, so every Eval of a cell shares one map: read-only.
 	CinFF map[string]float64
 	// IRiseUA and IFallUA are the effective pull-up/pull-down currents
 	// (µA) driving output rise and fall.
@@ -76,8 +78,12 @@ type Eval struct {
 type Lib struct {
 	// Dev is the device model.
 	Dev device.Model
-	// P is the kit's electrical parameter block.
+	// P is the kit's electrical parameter block. It must not change once
+	// Evaluate has run: the per-cell input capacitances are computed from
+	// it once.
 	P pdk.Device
+
+	cin sync.Map // *stdcell.Info -> map[string]float64, see cinOf
 }
 
 // New builds the timing library for a kit.
@@ -93,16 +99,13 @@ func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if ann == nil {
 		ann = Drawn
 	}
-	ev := Eval{CinFF: map[string]float64{}, Cell: cell}
+	ev := Eval{CinFF: tl.cinOf(cell), Cell: cell}
 	var inUA, ipUA float64 // summed drive per network
 	var rcN, rcP float64   // summed contact resistance per network
 	var nN, nP int
 	for _, g := range cell.Layout.Gates {
 		ln := ann(g)
 		wUm := float64(g.W()) / 1000
-		// Input capacitance: gate area term (per µm of width; the drawn
-		// length is the poly the driver must charge, so drawn L is used).
-		ev.CinFF[g.Pin] += tl.P.CGateFFUM * wUm
 		// Drive at the annotated delay length.
 		if g.Kind == layout.NMOS {
 			inUA += wUm * tl.Dev.IonPerUm(layout.NMOS, ln.DelayL)
@@ -127,6 +130,23 @@ func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 		ev.RcRiseOhm = rcP / float64(nP) * float64(maxI(cell.StackedP, 1))
 	}
 	return ev, nil
+}
+
+// cinOf returns the cell's input-pin capacitances, computed on the first
+// call for the cell and shared by every later one: the gate-area term per
+// µm of width, summed per pin in layout order. The drawn length is the poly
+// the driver must charge, so no annotation enters.
+func (tl *Lib) cinOf(cell *stdcell.Info) map[string]float64 {
+	if m, ok := tl.cin.Load(cell); ok {
+		return m.(map[string]float64)
+	}
+	m := map[string]float64{}
+	for _, g := range cell.Layout.Gates {
+		wUm := float64(g.W()) / 1000
+		m[g.Pin] += tl.P.CGateFFUM * wUm
+	}
+	shared, _ := tl.cin.LoadOrStore(cell, m)
+	return shared.(map[string]float64)
 }
 
 // Timing constants of the CV/I model.

@@ -2,6 +2,8 @@ package timinglib
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"postopc/internal/geom"
@@ -183,5 +185,73 @@ func TestDrawnAnnotator(t *testing.T) {
 	l := Drawn(site)
 	if l.DelayL != 90 || l.LeakL != 90 {
 		t.Fatalf("drawn lengths = %+v", l)
+	}
+}
+
+// TestEvaluateConcurrentMatchesSerial evaluates every timed cell from
+// several goroutines at once on a fresh Lib, so they race to fill the
+// per-cell Cin cache, and compares each result with a serial evaluation on
+// another Lib. Every Eval of a cell must share one Cin map. Run under -race
+// (make race) to check the sharing itself.
+func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
+	lib, _ := env(t)
+	var cells []*stdcell.Info
+	for _, name := range lib.Names() {
+		if c := lib.Cells[name]; c.Kind != stdcell.Fill {
+			cells = append(cells, c)
+		}
+	}
+	anns := []Annotator{nil, Uniform(84), Guardband(6)}
+	serial := New(lib.PDK)
+	want := make([][]Eval, len(cells))
+	for i, c := range cells {
+		for _, ann := range anns {
+			ev, err := serial.Evaluate(c, ann)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], ev)
+		}
+	}
+
+	tl := New(lib.PDK)
+	const workers = 4
+	got := make([][][]Eval, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([][]Eval, len(cells))
+			// Each worker walks the cells from a different start.
+			for k := range cells {
+				i := (k + w*len(cells)/workers) % len(cells)
+				for _, ann := range anns {
+					ev, err := tl.Evaluate(cells[i], ann)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[w][i] = append(got[w][i], ev)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := range got {
+		for i, c := range cells {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Fatalf("worker %d, cell %s: concurrent %+v, serial %+v", w, c.Name, got[w][i], want[i])
+			}
+			shared := reflect.ValueOf(got[0][i][0].CinFF).Pointer()
+			for _, ev := range got[w][i] {
+				if reflect.ValueOf(ev.CinFF).Pointer() != shared {
+					t.Fatalf("worker %d, cell %s: Eval has its own Cin map", w, c.Name)
+				}
+			}
+		}
 	}
 }
