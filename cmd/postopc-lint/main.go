@@ -153,6 +153,7 @@ func writeLintLedger(path string, pkgs []*load.Package, res *driver.Result) erro
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		VekLevel:    bi.VekLevel,
+		VekPath:     bi.VekPath,
 		CPUFeatures: bi.CPUFeatures,
 		Module:      bi.Module,
 	})

@@ -105,22 +105,10 @@ func run(pass *analysis.Pass) error {
 }
 
 // markedFuncs resolves the //postopc:allocfree directives to the function
-// objects they annotate (directive trailing the func line, or on the line
-// above — conventionally the last doc-comment line).
+// objects they annotate: a directive anywhere in a function's doc comment
+// group marks it, so other directives (//go:noescape on an assembly
+// declaration) may sit between it and the func line.
 func markedFuncs(pass *analysis.Pass) map[*types.Func]bool {
-	lines := map[fileLine]bool{}
-	for _, file := range pass.Files {
-		for _, cg := range file.Comments {
-			for _, cmt := range cg.List {
-				rest, ok := strings.CutPrefix(cmt.Text, "//postopc:allocfree")
-				if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-					continue
-				}
-				pos := pass.Fset.Position(cmt.Pos())
-				lines[fileLine{pos.Filename, pos.Line}] = true
-			}
-		}
-	}
 	marked := map[*types.Func]bool{}
 	for _, file := range pass.Files {
 		if isTestFile(pass, file) {
@@ -128,11 +116,7 @@ func markedFuncs(pass *analysis.Pass) map[*types.Func]bool {
 		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			pos := pass.Fset.Position(fd.Pos())
-			if !lines[fileLine{pos.Filename, pos.Line}] && !lines[fileLine{pos.Filename, pos.Line - 1}] {
+			if !ok || !hasDirective(fd.Doc) {
 				continue
 			}
 			if obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); obj != nil {
@@ -143,9 +127,19 @@ func markedFuncs(pass *analysis.Pass) map[*types.Func]bool {
 	return marked
 }
 
-type fileLine struct {
-	file string
-	line int
+// hasDirective reports whether the comment group holds a
+// //postopc:allocfree line (optionally followed by a space and a note).
+func hasDirective(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, cmt := range doc.List {
+		rest, ok := strings.CutPrefix(cmt.Text, "//postopc:allocfree")
+		if ok && (rest == "" || strings.HasPrefix(rest, " ")) {
+			return true
+		}
+	}
+	return false
 }
 
 // check walks one annotated function body.

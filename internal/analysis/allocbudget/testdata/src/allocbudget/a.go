@@ -46,3 +46,15 @@ func grow(dst []float64, n int) []float64 { // want grow:`allocfree`
 	}
 	return dst[:n]
 }
+
+// asmKernel is an assembly declaration: //go:noescape sits between the
+// directive and the func line, and the directive must still count.
+//postopc:allocfree
+//go:noescape
+func asmKernel(dst *float64, n int) // want asmKernel:`allocfree`
+
+// callsAsm rides on asmKernel's annotation.
+//postopc:allocfree
+func callsAsm(xs []float64) { // want callsAsm:`allocfree`
+	asmKernel(&xs[0], len(xs))
+}

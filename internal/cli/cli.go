@@ -109,6 +109,7 @@ func (t *TelemetryFlags) Start() {
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			NumCPU:      runtime.NumCPU(),
 			VekLevel:    bi.VekLevel,
+			VekPath:     bi.VekPath,
 			CPUFeatures: bi.CPUFeatures,
 			Module:      bi.Module,
 		})

@@ -10,14 +10,16 @@ import (
 // kernel_micro block: each of the three dominant inner loops — butterfly,
 // pointwise filter apply, scaled intensity accumulate — timed as the
 // complex128 reference loop and as the SoA plane kernel, at the span
-// length the real pipeline uses (a 256-wide row/column block). Run once
-// per GOAMD64 level:
+// length the real pipeline uses (a 256-wide row/column block), plus the
+// fast model's blur tap sums (256 outputs, the 121 taps of the broad
+// kernel at nominal focus) against their Go loops. Run on the default
+// build and again on the Go reference loops:
 //
 //	go test ./internal/dsp/vek/ -run - -bench KernelInnerLoops
-//	GOAMD64=v3 go test ./internal/dsp/vek/ -run - -bench KernelInnerLoops
+//	go test -tags purego ./internal/dsp/vek/ -run - -bench KernelInnerLoops
 //
-// The v1 rows measure the four-wide unrolled generic path against the
-// interleaved complex128 loop; the v3 rows measure the AVX2 path.
+// On an AVX2 host the first run measures the AVX2 path, the second the
+// generic path.
 const benchN = 256
 
 func benchComplexLine(seed float64) []complex128 {
@@ -118,6 +120,41 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 		b.SetBytes(benchN * 16)
 		for i := 0; i < b.N; i++ {
 			vek.ScaleInv(re, im, benchN)
+		}
+	})
+
+	const taps = 121
+	kern := make([]float64, taps)
+	for j := range kern {
+		kern[j] = 1 / float64(taps)
+	}
+	plane, _ := benchPlanes(0.75)
+	for len(plane) < taps*benchN {
+		plane = append(plane, plane[:benchN]...)
+	}
+	dst := make([]float64, benchN)
+	b.Run("conv-row/generic", func(b *testing.B) {
+		b.SetBytes(benchN * 8 * taps)
+		for i := 0; i < b.N; i++ {
+			vek.ConvRowGeneric(dst, plane, kern)
+		}
+	})
+	b.Run("conv-row/vek", func(b *testing.B) {
+		b.SetBytes(benchN * 8 * taps)
+		for i := 0; i < b.N; i++ {
+			vek.ConvRow(dst, plane, kern)
+		}
+	})
+	b.Run("conv-col/generic", func(b *testing.B) {
+		b.SetBytes(benchN * 8 * taps)
+		for i := 0; i < b.N; i++ {
+			vek.ConvColGeneric(dst, plane, benchN, kern)
+		}
+	})
+	b.Run("conv-col/vek", func(b *testing.B) {
+		b.SetBytes(benchN * 8 * taps)
+		for i := 0; i < b.N; i++ {
+			vek.ConvCol(dst, plane, benchN, kern)
 		}
 	})
 }

@@ -3,10 +3,9 @@
 package vek
 
 // Features describes the CPU capabilities relevant to the kernel layer,
-// detected at startup via CPUID. Recorded in BENCH_*.json host blocks next
-// to BuildLevel so a benchmark row carries both what the binary could use
-// (the GOAMD64 baseline it was compiled against) and what the host could
-// have run.
+// detected at startup via CPUID. AVX2 selects the kernel path (see
+// SIMDEnabled); BENCH_*.json host blocks record the features next to
+// BuildLevel and the kernel path.
 type Features struct {
 	// AVX2 reports 256-bit integer/float vector support usable by the OS
 	// (CPUID leaf 7 EBX bit 5, gated on OSXSAVE + XCR0 state enabling).

@@ -1,20 +1,29 @@
-// Package vek implements the structure-of-arrays (SoA) vector kernels of
-// the imaging hot path: the FFT butterflies, the pointwise pupil-filter
-// apply and the scaled intensity accumulate, executed over separate
-// real/imag float64 planes instead of interleaved []complex128.
+// Package vek implements the vector kernels of the imaging hot path: the
+// Abbe model's FFT butterflies, pointwise pupil-filter apply and scaled
+// intensity accumulate over structure-of-arrays (SoA) float64 planes —
+// separate real/imag planes instead of interleaved []complex128 — and the
+// row and column tap sums of the fast model's separable Gaussian blur
+// (ConvRow, ConvCol).
 //
 // # Why SoA
 //
 // The complex128 inner loops compile to scalar SSE: each element is a
 // 16-byte (re, im) pair and every operation decomposes into dependent
 // scalar float ops. Deinterleaved planes make each lane an independent
-// 8-byte float stream, so on GOAMD64=v3 builds the kernels execute with
-// 4-lane AVX2 vector instructions (VMULPD/VADDPD/VSUBPD) that perform the
-// identical per-lane IEEE-754 operation. On lower build levels a flat
-// scalar loop runs instead — measurement rejected manual 4-wide unrolling
-// there (six live slice streams spill; the out-of-order core extracts the
-// ILP from the simple loop on its own), so the generic path stays 1-wide
-// and bounds-check-free via reslicing.
+// 8-byte float stream, so the kernels can execute with 4-lane AVX2 vector
+// instructions (VMULPD/VADDPD/VSUBPD) that perform the identical per-lane
+// IEEE-754 operation.
+//
+// # Kernel selection
+//
+// The AVX2 assembly is built into every amd64 binary and chosen once at
+// start-up from CPUID (SIMDEnabled), whatever GOAMD64 level the binary was
+// built for. Without AVX2 — another architecture, an amd64 host that lacks
+// it, or a build with the purego tag, which forces it off — the kernels
+// run their Go reference loops. Measurement rejected manual 4-wide
+// unrolling of the Go loops (six live slice streams spill; the
+// out-of-order core extracts the ILP from the simple loop on its own), so
+// they stay 1-wide and bounds-check-free via reslicing.
 //
 // # Bit-identity contract
 //
@@ -26,8 +35,9 @@
 //     im = a.re*b.im + a.im*b.re;
 //   - no fused multiply-add, anywhere: the generic path relies on the gc
 //     compiler never contracting a*b+c on amd64 (asserted by the golden-SHA
-//     regression test at every GOAMD64 level), and the AVX2 path emits only
-//     VMULPD/VADDPD/VSUBPD, never VFMADD;
+//     regression tests at every GOAMD64 level and under purego), and the
+//     assembly emits only MULSD/ADDSD and VMULPD/VADDPD/VSUBPD, never
+//     VFMADD;
 //   - no reassociation: sums are accumulated in the order of the original
 //     loops;
 //   - the inverse-FFT 1/N scaling mirrors runtime.complex128div for a
@@ -38,7 +48,7 @@
 // Lane independence makes vectorization order-preserving: a 4-lane VADDPD
 // is four one-lane additions with no cross-lane arithmetic, so the SIMD
 // and generic paths produce bit-identical planes (property-tested in this
-// package, pinned end-to-end by the litho golden-SHA test). The only
+// package, pinned end-to-end by the litho golden-SHA tests). The only
 // unpinned detail is the payload and sign of a NaN produced when BOTH
 // operands of one commutative operation (+, *) are NaNs with different
 // payloads: SSE/AVX propagate the first operand's payload, and the gc SSA

@@ -1,8 +1,6 @@
 package litho
 
 import (
-	"fmt"
-
 	"postopc/internal/dsp"
 	"postopc/internal/dsp/vek"
 	"postopc/internal/geom"
@@ -74,7 +72,7 @@ func (a *Abbe) Aerial(mask *geom.Raster, c Corner) (*Image, error) {
 // Aerial and AerialSeries so each public call observes exactly once.
 func (a *Abbe) aerialOne(mask *geom.Raster, c Corner) (*Image, error) {
 	if mask.Nx == 0 || mask.Ny == 0 {
-		return nil, fmt.Errorf("litho: empty mask raster")
+		return nil, ErrEmptyMask
 	}
 	nx := dsp.NextPow2(mask.Nx)
 	ny := dsp.NextPow2(mask.Ny)
@@ -138,7 +136,7 @@ func (a *Abbe) transmissionPlanes(mask *geom.Raster, nx, ny int, bg float64) *ds
 // shares it.
 func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, error) {
 	if mask.Nx == 0 || mask.Ny == 0 {
-		return nil, fmt.Errorf("litho: empty mask raster")
+		return nil, ErrEmptyMask
 	}
 	t0 := a.hAerial.StartTimer()
 	defer a.hAerial.ObserveSince(t0)

@@ -1,8 +1,6 @@
 package litho
 
 import (
-	"fmt"
-
 	"postopc/internal/dsp"
 	"postopc/internal/geom"
 )
@@ -65,7 +63,7 @@ func (a *Abbe) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, 
 	defer a.hAerial.ObserveSince(t0)
 	for _, m := range masks {
 		if m.Nx == 0 || m.Ny == 0 {
-			return nil, fmt.Errorf("litho: empty mask raster")
+			return nil, ErrEmptyMask
 		}
 	}
 	out := make([][]*Image, len(masks))
@@ -111,6 +109,11 @@ func (a *Abbe) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, 
 func (g *Gaussian) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, error) {
 	if len(masks) == 0 {
 		return nil, nil
+	}
+	for _, m := range masks {
+		if m.Nx == 0 || m.Ny == 0 {
+			return nil, ErrEmptyMask
+		}
 	}
 	t0 := g.hAerial.StartTimer()
 	defer g.hAerial.ObserveSince(t0)

@@ -1,6 +1,7 @@
 package litho
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -151,6 +152,41 @@ func TestSharedBankConcurrentModels(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if ptrs[w] != ptrs[0] {
 			t.Fatalf("worker %d resolved a different filter set than worker 0", w)
+		}
+	}
+}
+
+// TestEmptyMaskRejected pins the degenerate-input contract: both models
+// reject a raster with no pixels from all three imaging entry points with
+// the named ErrEmptyMask.
+func TestEmptyMaskRejected(t *testing.T) {
+	models := map[string]BatchModel{"abbe": newAbbeT(t), "gaussian": newGaussT(t)}
+	masks := map[string]*geom.Raster{
+		"nx0": {Pixel: 10, Nx: 0, Ny: 8},
+		"ny0": {Pixel: 10, Nx: 8, Ny: 0},
+	}
+	corners := []Corner{Nominal, {DefocusNM: 80, Dose: 1}}
+	for mName, m := range models {
+		for kName, mask := range masks {
+			entry := map[string]func() error{
+				"Aerial": func() error {
+					_, err := m.Aerial(mask, Nominal)
+					return err
+				},
+				"AerialSeries": func() error {
+					_, err := m.AerialSeries(mask, corners)
+					return err
+				},
+				"AerialBatch": func() error {
+					_, err := m.AerialBatch([]*geom.Raster{benchMask256(), mask}, corners)
+					return err
+				},
+			}
+			for eName, call := range entry {
+				if err := call(); !errors.Is(err, ErrEmptyMask) {
+					t.Errorf("%s.%s(%s): err = %v, want ErrEmptyMask", mName, eName, kName, err)
+				}
+			}
 		}
 	}
 }

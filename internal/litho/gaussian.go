@@ -94,55 +94,55 @@ func (g *Gaussian) Aerial(mask *geom.Raster, c Corner) (*Image, error) {
 }
 
 func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Image, error) {
+	if mask.Nx == 0 || mask.Ny == 0 {
+		return nil, ErrEmptyMask
+	}
 	r := g.recipe
 	px := float64(mask.Pixel)
-	bg := 1.0
-	if r.Polarity == DarkField {
-		bg = 0
-	}
-	nx, ny := mask.Nx, mask.Ny
-	// Transmission amplitude.
-	ks.amp = growFloats(ks.amp, nx*ny)
-	amp := ks.amp
-	for i, cov := range mask.Data {
-		if r.Polarity == ClearField {
-			amp[i] = 1 - cov
-		} else {
-			amp[i] = cov
-		}
-	}
 	// Defocus broadens both kernel components in quadrature.
 	blur := 0.30 * math.Abs(c.DefocusNM) * r.NA
 	s1 := math.Sqrt(sq(g.SigmaAt(0)) + blur*blur)
-	ks.field = growFloats(ks.field, nx*ny)
+	ks.field = growFloats(ks.field, mask.Nx*mask.Ny)
 	field := ks.field
-	convolveGaussianInto(field, amp, nx, ny, bg, s1, px, ks)
-	if g.weight2 != 0 {
-		s2 := math.Sqrt(sq(g.sigma2NM) + blur*blur)
-		// The broad component reuses one pooled buffer instead of
-		// allocating a second field per call.
-		ks.wide = growFloats(ks.wide, nx*ny)
-		wide := ks.wide
-		convolveGaussianInto(wide, amp, nx, ny, bg, s2, px, ks)
-		w := g.weight2
-		for i := range field {
-			field[i] = (1-w)*field[i] + w*wide[i]
-		}
-	}
+	bg := blurAmplitude(field, mask, r.Polarity, s1, px, ks)
 	out := NewImage(mask)
 	out.Background = bg
+	if g.weight2 == 0 {
+		for i, v := range field {
+			out.Data[i] = v * v // intensity = amplitude²
+		}
+		return out, nil
+	}
+	// The broad component is blurred straight into the returned image's
+	// buffer and combined with the narrow one in place.
+	s2 := math.Sqrt(sq(g.sigma2NM) + blur*blur)
+	wide := out.Data
+	blurAmplitude(wide, mask, r.Polarity, s2, px, ks)
+	w := g.weight2
 	for i, v := range field {
-		out.Data[i] = v * v // intensity = amplitude²
+		a := (1-w)*v + w*wide[i]
+		wide[i] = a * a // intensity = amplitude²
 	}
 	return out, nil
 }
 
-// convolveGaussianInto blurs amp (nx×ny, row-major) into dst with an
-// isotropic Gaussian of the given sigma, extending edges with the background
-// level. The kernel is truncated at 3σ and normalized to unit sum so a
-// uniform field is preserved exactly. dst must have nx*ny elements; its
-// prior contents are ignored. Row scratch comes from ks.
-func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64, ks *kernelScratch) {
+// blurAmplitude blurs the mask's transmission amplitude (1−cov in clear
+// field, cov in dark field) into dst with an isotropic Gaussian of the
+// given sigma, extending edges with the background level, which it
+// returns (1 in clear field, 0 in dark field). The kernel is truncated at
+// 3σ and normalized to unit sum so a uniform field is preserved exactly.
+// dst must have Nx*Ny elements; its prior contents are ignored. Work
+// buffers come from ks.
+//
+// Both passes add the taps of every output pixel in ascending order,
+// starting from +0, with no FMA, on every vek kernel path, so the images
+// are bit-identical whichever path runs (TestGaussianAerialGoldenSHA).
+func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px float64, ks *kernelScratch) float64 {
+	bg := 1.0
+	if pol == DarkField {
+		bg = 0
+	}
+	nx, ny := mask.Nx, mask.Ny
 	half := int(math.Ceil(3 * sigma / px))
 	if half < 1 {
 		half = 1
@@ -158,10 +158,12 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 	for i := range kern {
 		kern[i] /= ksum
 	}
-	// Horizontal pass over a background-padded row buffer (branch-free
-	// inner loop). The pad's end fills are constant across rows, so they
-	// are written once, outside the row loop.
-	ks.tmp = growFloats(ks.tmp, nx*ny)
+	// Horizontal pass. Each mask row is turned into amplitude inside a
+	// background-padded row buffer (branch-free inner loop; the pad's end
+	// fills are constant across rows, so they are written once) and
+	// convolved into row half+iy of tmp. tmp carries half background rows
+	// above and below the image, so the vertical pass has no edge case.
+	ks.tmp = growFloats(ks.tmp, nx*(ny+2*half))
 	tmp := ks.tmp
 	ks.pad = growFloats(ks.pad, nx+2*half)
 	pad := ks.pad
@@ -169,36 +171,38 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 		pad[i] = bg
 		pad[nx+half+i] = bg
 	}
+	edge := half * nx
+	for i := 0; i < edge; i++ {
+		tmp[i] = bg
+		tmp[len(tmp)-edge+i] = bg
+	}
+	amp := pad[half : half+nx]
 	for iy := 0; iy < ny; iy++ {
-		copy(pad[half:half+nx], amp[iy*nx:(iy+1)*nx])
-		vek.ConvRow(tmp[iy*nx:(iy+1)*nx], pad, kern)
-	}
-	// Vertical pass, accumulated row-wise for sequential memory access.
-	// dst is an accumulator here, so it is zeroed first.
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k := -half; k <= half; k++ {
-		w := kern[k+half]
-		for iy := 0; iy < ny; iy++ {
-			row := dst[iy*nx : (iy+1)*nx]
-			j := iy + k
-			if j < 0 || j >= ny {
-				add := bg * w
-				for ix := range row {
-					row[ix] += add
-				}
-				continue
+		cov := mask.Data[iy*nx : (iy+1)*nx]
+		if pol == ClearField {
+			for ix, v := range cov {
+				amp[ix] = 1 - v // chrome blocks light
 			}
-			vek.AddScaled(row, tmp[j*nx:(j+1)*nx], w)
+		} else {
+			copy(amp, cov) // opening passes light
 		}
+		vek.ConvRow(tmp[(half+iy)*nx:(half+iy+1)*nx], pad, kern)
 	}
+	// Vertical pass: one column convolution per output row, whose
+	// accumulators stay in registers across all 2·half+1 taps.
+	for iy := 0; iy < ny; iy++ {
+		vek.ConvCol(dst[iy*nx:(iy+1)*nx], tmp[iy*nx:], nx, kern)
+	}
+	return bg
 }
 
 // AerialSeries implements Model, sharing simulations between corners that
 // differ only in dose: corners sharing a defocus alias one *Image in the
 // returned slice, so callers must not mutate the returned images.
 func (g *Gaussian) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, error) {
+	if mask.Nx == 0 || mask.Ny == 0 {
+		return nil, ErrEmptyMask
+	}
 	t0 := g.hAerial.StartTimer()
 	defer g.hAerial.ObserveSince(t0)
 	ks := borrowKernelScratch()

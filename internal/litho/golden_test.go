@@ -4,18 +4,23 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
+
+	"postopc/internal/geom"
 )
 
-// Golden-SHA pins of the Abbe aerial image. The hashes were recorded from
-// the pre-vek complex128 kernel path; the SoA kernel layer (internal/dsp/vek)
-// preserves the exact floating-point operation sequence of that code, so
-// the images must stay byte-identical — across the refactor AND across
-// GOAMD64 build levels (the kernels contain no fused operations, see the
-// no-FMA contract in DESIGN.md "SIMD inner loops"). CI runs this test under
-// both the default GOAMD64 and the v3 lane; a hash change on either means a
-// kernel reordered, fused or otherwise perturbed a float operation.
+// Golden-SHA pins of the aerial images of both models. The Abbe hashes
+// were recorded from the pre-vek complex128 kernel path; the SoA kernel
+// layer (internal/dsp/vek) preserves the exact floating-point operation
+// sequence of that code, so the images must stay byte-identical — across
+// the refactor AND across kernel paths and GOAMD64 build levels (the
+// kernels contain no fused operations, see the no-FMA contract in
+// DESIGN.md "SIMD inner loops"). CI runs these tests on the AVX2 path at
+// the default build and at GOAMD64=v3, and on the Go reference loops under
+// -tags purego; a hash change on any of them means a kernel reordered,
+// fused or otherwise perturbed a float operation.
 
 // goldenAerialSHA256 hashes the image: dimensions, background and every
 // sample as its exact IEEE-754 bit pattern, little-endian.
@@ -62,6 +67,75 @@ func TestAbbeAerialGoldenSHA(t *testing.T) {
 			t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
 				"(a mismatch means a kernel changed its floating-point op sequence;"+
 				" see the bit-identity contract in DESIGN.md)", name, got, want)
+		}
+	}
+}
+
+// tallMask251 is a strip-window-shaped mask, 251×753 px: its width is not
+// a multiple of 4 or 16, so the blur's row and column kernels run their
+// 16-wide blocks, the 4-wide loop and the overlapping last block. A
+// horizontal bar and an off-centre
+// contact break the grating's symmetry.
+func tallMask251() *geom.Raster {
+	ra := geom.NewRaster(geom.R(-1255, -3765, 1255, 3765), 10)
+	la := LineArray{WidthNM: 90, PitchNM: 250, Count: 9, LengthNM: 6400}
+	for _, r := range la.Rects() {
+		ra.AddRect(r)
+	}
+	ra.AddRect(geom.R(-1100, 3300, 900, 3420))
+	ra.AddRect(geom.R(430, -2900, 555, -2760))
+	ra.Clamp()
+	return ra
+}
+
+// TestGaussianAerialGoldenSHA locks the fast model's images to hashes
+// recorded before its blur was vectorized. It covers the dual model at the
+// PDK calibration (σ2 = 200 nm, w = −0.10) and at w = +0.15, clear and
+// dark field (the dark field pads with 0), nominal focus and 120 nm
+// defocus, on the 256×256 grating and on the 251×753 strip-shaped mask.
+func TestGaussianAerialGoldenSHA(t *testing.T) {
+	golden := map[string]string{
+		"w+0.15/clear/grating256/defocus120": "2c7a4a4c46c4961c456d7e54e0c8bdf8ab0428de15b3e24e85291e1eff8346d2",
+		"w+0.15/clear/grating256/nominal":    "5cf49669094184649edcead5ec0736a1935d08523551b8780fd2fa40f4c1515f",
+		"w+0.15/clear/tall251/defocus120":    "989da9b7ce39e7bca5ad8e445472ecb15ae9f8732abd269f8a519ccd0cd9c816",
+		"w+0.15/clear/tall251/nominal":       "7e7674cb7f37c2a1cfb1e73804dc79e98248861d6aec9b38f3518f7be19bc39b",
+		"w+0.15/dark/grating256/defocus120":  "d1c683394152f9c51fdebb4c45806ef78a082f636602f377703add23f729e3f0",
+		"w+0.15/dark/grating256/nominal":     "9c0508b097973a5b70a9f0a53edc18ecba5baef6e7379ee458ba451c0d3da22f",
+		"w+0.15/dark/tall251/defocus120":     "c7cf8926b16b66e3c5adc35e4a8b5fb89b9ceb124aabbf914c7e6b01473c60d4",
+		"w+0.15/dark/tall251/nominal":        "136f2dcf68fb02722739ec9a7f6926e3062bd42c48110e50b0da47995d336a24",
+		"w-0.10/clear/grating256/defocus120": "3bd71be73fd3e9dabe242fd3529934ffcf614841062bea36b711d5a4883943c8",
+		"w-0.10/clear/grating256/nominal":    "d0c8f4906d3ba245619f6afc0180d194f4c42e71e17bd94c055a79d48ebeb23c",
+		"w-0.10/clear/tall251/defocus120":    "20757aa92afce2e39b11609b0b55c7c5e8da04b0ac218a0ae5292eb4c4f7bd5c",
+		"w-0.10/clear/tall251/nominal":       "7c1da8d9758f24b897733eaddf5851e5d30603b976dfd4dd48c748ab5dda8335",
+		"w-0.10/dark/grating256/defocus120":  "34ab569e561e72585049576ef1bc392481a48e021efd12d0bfc2ee00a605be71",
+		"w-0.10/dark/grating256/nominal":     "be419605099499178afc4bae7ae04dd17e5c347c2a05f1c43da2741fcd50d931",
+		"w-0.10/dark/tall251/defocus120":     "b69a3ef2d9f7dc8c24173b0cfee3e713ff38f405f2633e32e65113bd21628310",
+		"w-0.10/dark/tall251/nominal":        "e41942a74c034aa1ffac2fa3cd52d155f7695a16e7eef72845acfa4761f6dfe6",
+	}
+	masks := map[string]*geom.Raster{"grating256": benchMask256(), "tall251": tallMask251()}
+	for _, w := range []float64{-0.10, 0.15} {
+		for polName, pol := range map[string]Polarity{"clear": ClearField, "dark": DarkField} {
+			r := testRecipe()
+			r.Polarity = pol
+			m, err := NewGaussianDual(r, 200, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for maskName, mask := range masks {
+				for cName, c := range map[string]Corner{
+					"nominal":    Nominal,
+					"defocus120": {DefocusNM: 120, Dose: 1},
+				} {
+					name := fmt.Sprintf("w%+.2f/%s/%s/%s", w, polName, maskName, cName)
+					im, err := m.Aerial(mask, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := goldenAerialSHA256(im), golden[name]; got != want {
+						t.Errorf("%s aerial SHA-256 = %s, want %s", name, got, want)
+					}
+				}
+			}
 		}
 	}
 }

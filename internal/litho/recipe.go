@@ -11,6 +11,7 @@
 package litho
 
 import (
+	"errors"
 	"fmt"
 
 	"postopc/internal/geom"
@@ -113,9 +114,15 @@ func (r Recipe) EffectiveThreshold(c Corner) float64 {
 	return r.Threshold / c.Dose
 }
 
+// ErrEmptyMask is returned by every imaging entry point (Aerial,
+// AerialSeries, AerialBatch) of both models when a mask raster has no
+// pixels (Nx or Ny is zero).
+var ErrEmptyMask = errors.New("litho: empty mask raster")
+
 // Model computes aerial images for mask rasters under a process corner.
 // Implementations: *Abbe (physical, slower) and *Gaussian (approximate,
-// fast — for tests and quick sweeps).
+// fast — for tests and quick sweeps). A raster with no pixels is rejected
+// with ErrEmptyMask.
 type Model interface {
 	// Aerial returns the aerial-image intensity over the mask raster's
 	// window, normalized so the clear-field intensity is 1.0. The mask

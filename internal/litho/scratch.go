@@ -10,7 +10,7 @@ import (
 
 // Scratch pooling for the imaging kernels. A single window simulation
 // needs several full-size float work buffers (intensity accumulator,
-// transmission amplitude, convolution fields and pad rows); full-chip runs
+// convolution planes and pad rows); full-chip runs
 // simulate thousands of equally-sized windows from concurrent workers, so
 // the buffers are recycled through sync.Pools and steady-state simulation
 // allocates only the returned *Image.
@@ -66,11 +66,9 @@ func poolReturned() {
 // kernelScratch carries the per-call work buffers of both kernels.
 type kernelScratch struct {
 	acc   []float64 // Abbe: weighted intensity accumulator (padded grid)
-	amp   []float64 // Gaussian: transmission amplitude
-	field []float64 // Gaussian: convolved amplitude field
-	wide  []float64 // Gaussian: secondary (broad) kernel field
-	tmp   []float64 // Gaussian: horizontal-pass intermediate
-	pad   []float64 // Gaussian: background-padded row
+	field []float64 // Gaussian: convolved amplitude field (narrow kernel)
+	tmp   []float64 // Gaussian: horizontal-pass plane with background rows
+	pad   []float64 // Gaussian: background-padded amplitude row
 	kern  []float64 // Gaussian: normalized 1-D kernel taps
 }
 

@@ -9,15 +9,16 @@ import (
 )
 
 // BuildInfo identifies the binary a telemetry export came from: go
-// toolchain, platform, the GOAMD64 level the vector kernels were built
-// for, the CPU features actually detected at run time, and the module
-// version. Bench hosts (and future multi-tenant daemons) are
-// distinguishable from scrapes and ledgers alone.
+// toolchain, platform, the GOAMD64 level it was built for, the vector-
+// kernel path chosen at start-up, the CPU features actually detected at
+// run time, and the module version. Bench hosts (and future multi-tenant
+// daemons) are distinguishable from scrapes and ledgers alone.
 type BuildInfo struct {
 	GoVersion   string
 	GOOS        string
 	GOARCH      string
 	VekLevel    string
+	VekPath     string // "avx2" or "generic" (vek.SIMDEnabled)
 	CPUFeatures string
 	Module      string
 }
@@ -29,10 +30,14 @@ func GetBuildInfo() BuildInfo {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		VekLevel:  vek.BuildLevel(),
+		VekPath:   "generic",
 		Module:    "postopc",
 	}
 	if bi.VekLevel == "" {
 		bi.VekLevel = "none"
+	}
+	if vek.SIMDEnabled() {
+		bi.VekPath = "avx2"
 	}
 	var feats []string
 	cpu := vek.CPU()

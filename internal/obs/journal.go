@@ -65,6 +65,7 @@ type Manifest struct {
 	GOMAXPROCS  int      `json:"gomaxprocs"`
 	NumCPU      int      `json:"numcpu"`
 	VekLevel    string   `json:"vek_level"`
+	VekPath     string   `json:"vek_path"`
 	CPUFeatures string   `json:"cpu_features"`
 	Module      string   `json:"module"`
 }
@@ -179,8 +180,8 @@ type ledgerCounterLine struct {
 }
 
 type ledgerGaugeLine struct {
-	T     string `json:"t"`
-	Name  string `json:"name"`
+	T     string  `json:"t"`
+	Name  string  `json:"name"`
 	Value float64 `json:"v"`
 }
 

@@ -13,7 +13,7 @@ func testJournal(scale int64) *Journal {
 	j := NewJournal(3)
 	j.SetManifest(Manifest{
 		Tool: "test", GoVersion: "go1.x", GOOS: "linux", GOARCH: "amd64",
-		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", CPUFeatures: "none", Module: "postopc",
+		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", VekPath: "avx2", CPUFeatures: "none", Module: "postopc",
 	})
 	j.SetField("flow.workers", "4")
 	j.SetField("flow.batch", "8")
@@ -55,7 +55,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Manifest.Tool != "test" || l.Manifest.VekLevel != "v1" {
+	if l.Manifest.Tool != "test" || l.Manifest.VekLevel != "v1" || l.Manifest.VekPath != "avx2" {
 		t.Fatalf("manifest did not round-trip: %+v", l.Manifest)
 	}
 	if l.Fields["flow.workers"] != "4" || l.Fields["flow.batch"] != "8" {
@@ -119,7 +119,7 @@ func TestLedgerDeterministic(t *testing.T) {
 	j := NewJournal(3)
 	j.SetManifest(Manifest{
 		Tool: "test", GoVersion: "go1.x", GOOS: "linux", GOARCH: "amd64",
-		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", CPUFeatures: "none", Module: "postopc",
+		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", VekPath: "avx2", CPUFeatures: "none", Module: "postopc",
 	})
 	j.SetField("flow.batch", "8")
 	j.SetField("flow.workers", "4")

@@ -39,9 +39,9 @@ type LedgerHist struct {
 
 // LedgerStage is one exact per-stage percentile line.
 type LedgerStage struct {
-	Stage               string
-	Count               int
-	Total               int64
+	Stage              string
+	Count              int
+	Total              int64
 	P50, P95, P99, Max int64
 }
 
