@@ -19,7 +19,7 @@ lint:
 	./bin/postopc-lint -timing ./...
 
 # The machine-readable variant of the lint gate: same findings, rendered
-# as SARIF 2.1.0 on stdout (byte-identical at any -j worker count).
+# as SARIF 2.1.0 on stdout (byte-identical at any worker count).
 lint-sarif:
 	$(GO) build -o bin/postopc-lint ./cmd/postopc-lint
 	./bin/postopc-lint -json ./... > postopc-lint.sarif
@@ -82,13 +82,11 @@ check: build vet lint test race
 bench-throughput:
 	$(GO) test -short -run=NONE -bench=Throughput_Batch -benchtime=1x .
 
-# Run-ledger regression gate: two small instrumented postopc-sta runs
-# write ledgers; postopc-report summarizes the second, diffs it against
-# the first (generous 400% threshold, 0.1 ms noise floor — this is a
-# smoke against pathological cliffs, not a microbenchmark), then diffs it
-# against the committed BENCH_obs.json baseline via -map, pairing the
-# ledger's cache-lookup median with the committed span-bookkeeping cost
-# as a coarse cross-format yardstick. Non-zero exit on any regression.
+# Run-ledger regression gate: two small instrumented postopc-sta runs of
+# the same command write ledgers; postopc-report summarizes the second
+# and diffs it against the first (generous 400% threshold, 0.1 ms noise
+# floor — this is a smoke against pathological cliffs, not a
+# microbenchmark). Non-zero exit on any regression.
 bench-diff:
 	$(GO) build -o bin/postopc-sta ./cmd/postopc-sta
 	$(GO) build -o bin/postopc-report ./cmd/postopc-report
@@ -96,6 +94,3 @@ bench-diff:
 	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -batch 3 -ledger bench-cur.ledger > /dev/null
 	./bin/postopc-report summary bench-cur.ledger
 	./bin/postopc-report diff -threshold 400 -min-ns 100000 bench-base.ledger bench-cur.ledger
-	./bin/postopc-report diff -threshold 400 \
-		-map hist.cache.lookup_ns.q50=bench.BenchmarkObsOverhead/span-enabled.ns_per_op \
-		BENCH_obs.json bench-cur.ledger

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -123,9 +124,14 @@ func BenchmarkE2_ResidualEPE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			names := make([]string, 0, len(exts))
+			for name := range exts {
+				names = append(names, name)
+			}
+			sort.Strings(names)
 			var all []float64
-			for _, e := range exts {
-				all = append(all, e.EPEValues...)
+			for _, name := range names {
+				all = append(all, exts[name].EPEValues...)
 			}
 			st := opc.SummarizeEPE(all, 8)
 			if mode == flow.OPCModel {

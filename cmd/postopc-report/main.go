@@ -1,33 +1,24 @@
 // postopc-report renders and compares run ledgers — the observatory half
-// of the run-ledger pipeline. Every tool writes a ledger with -ledger;
+// of the run-ledger pipeline. The flow tools write a ledger with -ledger;
 // this command turns one into human tables and two into a regression
 // verdict.
 //
 // Usage:
 //
 //	postopc-report summary run.ledger
-//	postopc-report diff base.ledger new.ledger
-//	postopc-report diff -threshold 50 -t stage.image.p99_ns=25 base.ledger new.ledger
-//	postopc-report diff -map stage.image.p50_ns=bench.BenchmarkAerial.engine.ns_per_op BENCH_litho.json new.ledger
+//	postopc-report diff [-threshold pct] [-min-ns N] base.ledger new.ledger
 //
-// diff compares the intersection of the two metric sets (exact stage
-// percentiles, histogram quantiles, span totals, counters, cache hit
-// rate) and exits non-zero when any metric worsened past its threshold:
-// the default -threshold percentage, overridden per metric with
-// -t name=pct. Either side may be a run ledger or a committed
-// BENCH_*.json baseline (the format is sniffed); -map renames
-// current-run series onto baseline names so the two can be paired.
-// -min-ns drops latency rows whose baseline is below the floor —
-// sub-resolution timings are noise, not signal.
+// diff compares the intersection of the two ledgers' metric sets (exact
+// stage percentiles, histogram quantiles, span totals, counters, cache hit
+// rate) and exits non-zero when any metric worsened past the -threshold
+// percentage. -min-ns drops latency rows whose baseline is below the
+// floor — sub-resolution timings are noise, not signal.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"postopc/internal/cli"
 	"postopc/internal/obs"
@@ -53,11 +44,10 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   postopc-report summary <ledger>
-  postopc-report diff [-threshold pct] [-t name=pct] [-map cur=base] [-min-ns N] <base> <new>
+  postopc-report diff [-threshold pct] [-min-ns N] <base-ledger> <new-ledger>
 
-summary renders one run ledger as tables; diff compares two runs (ledger
-or BENCH_*.json baseline, sniffed) and exits 1 when a shared metric
-worsened past its threshold.`)
+summary renders one run ledger as tables; diff compares two run ledgers
+and exits 1 when a shared metric worsened past the threshold.`)
 	os.Exit(2)
 }
 
@@ -74,56 +64,20 @@ func summary(args []string) {
 	}
 }
 
-// repeatable flag collecting name=value pairs into a map.
-type pairsFlag struct {
-	m     map[string]string
-	usage string
-}
-
-func (p *pairsFlag) String() string { return "" }
-
-func (p *pairsFlag) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want %s, got %q", p.usage, s)
-	}
-	if p.m == nil {
-		p.m = map[string]string{}
-	}
-	p.m[name] = val
-	return nil
-}
-
 // diff compares a current run against a baseline and sets the exit code.
 func diff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 20, "default allowed worsening (percent)")
+	threshold := fs.Float64("threshold", 20, "allowed worsening (percent)")
 	minNS := fs.Float64("min-ns", 0, "ignore latency metrics whose baseline is below this floor (ns)")
-	perMetric := &pairsFlag{usage: "name=pct"}
-	fs.Var(perMetric, "t", "per-metric threshold override, name=pct (repeatable)")
-	rename := &pairsFlag{usage: "cur=base"}
-	fs.Var(rename, "map", "pair a current-run metric with a baseline name, cur=base (repeatable)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
 	}
-	base := readMetricsFile(fs.Arg(0))
-	cur := readMetricsFile(fs.Arg(1))
-
-	opt := obs.DiffOptions{ThresholdPct: *threshold, MinNS: *minNS, Rename: rename.m}
-	if len(perMetric.m) > 0 {
-		opt.PerMetric = map[string]float64{}
-		for name, val := range perMetric.m {
-			pct, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad -t %s=%s: %v", name, val, err))
-			}
-			opt.PerMetric[name] = pct
-		}
-	}
-	res := obs.Diff(base, cur, opt)
+	base := readLedgerFile(fs.Arg(0)).Metrics()
+	cur := readLedgerFile(fs.Arg(1)).Metrics()
+	res := obs.Diff(base, cur, obs.DiffOptions{ThresholdPct: *threshold, MinNS: *minNS})
 	if len(res.Rows) == 0 {
-		fatal(fmt.Errorf("no shared metrics between %s and %s (use -map to pair series)", fs.Arg(0), fs.Arg(1)))
+		fatal(fmt.Errorf("no shared metrics between %s and %s", fs.Arg(0), fs.Arg(1)))
 	}
 	res.Table().Fprint(os.Stdout)
 	if res.Regressions > 0 {
@@ -135,32 +89,16 @@ func diff(args []string) {
 
 // readLedgerFile parses a run ledger or dies.
 func readLedgerFile(path string) *obs.Ledger {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	led, err := obs.ReadLedger(bytes.NewReader(data))
+	defer f.Close()
+	led, err := obs.ReadLedger(f)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %v", path, err))
 	}
 	return led
-}
-
-// readMetricsFile loads either side of a diff, sniffing the format: a
-// JSON-lines run ledger or a BENCH_*.json baseline document.
-func readMetricsFile(path string) map[string]float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	if led, err := obs.ReadLedger(bytes.NewReader(data)); err == nil {
-		return led.Metrics()
-	}
-	m, err := obs.ReadBenchMetrics(bytes.NewReader(data))
-	if err != nil {
-		fatal(fmt.Errorf("%s: neither a run ledger nor a bench baseline: %v", path, err))
-	}
-	return m
 }
 
 func fatal(err error) { cli.Fatal("postopc-report", err) }

@@ -57,8 +57,7 @@ var Analyzer = &analysis.Analyzer{
 		"constructs and may only call other allocation-free functions (the\n" +
 		"annotation travels across packages as a fact). Cold sub-paths carry\n" +
 		"//postopc:nolint:allocbudget <reason> line suppressions.",
-	FactTypes: []analysis.Fact{(*AllocFree)(nil)},
-	Run:       run,
+	Run: run,
 }
 
 // allowedPkgs are the runtime-support packages whose calls are accepted

@@ -27,10 +27,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph help text; the first line is the summary.
 	Doc string
-	// FactTypes lists prototypes (pointer values) of every fact type the
-	// analyzer exports or imports, for gob registration. Analyzers without
-	// facts leave it nil.
-	FactTypes []Fact
 	// Run applies the analyzer to one package, reporting findings through
 	// pass.Report.
 	Run func(*Pass) error

@@ -28,10 +28,6 @@ type Options struct {
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS, 1 is a
 	// serial run. Results are identical at any setting.
 	Workers int
-	// Facts is the fact store to thread through the run; nil allocates a
-	// fresh one. Callers pre-seed it with facts decoded from separately
-	// analyzed units (the vet .cfg protocol).
-	Facts *analysis.Facts
 }
 
 // Timing is the accumulated wall-clock of one analyzer across every
@@ -50,19 +46,12 @@ type Result struct {
 	Findings []analysis.Finding
 	// Timings mirror the analyzer list, in suite order.
 	Timings []Timing
-	// Facts is the fact store after the run (for encoding into a vet
-	// facts file).
-	Facts *analysis.Facts
 }
 
 // Run applies every analyzer to every package, honoring import
 // dependencies between the loaded packages.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) (*Result, error) {
-	facts := opts.Facts
-	if facts == nil {
-		facts = analysis.NewFacts()
-	}
-	analysis.RegisterFactTypes(analyzers)
+	facts := analysis.NewFacts()
 	levels := level(pkgs)
 	nanos := make([]int64, len(analyzers))
 
@@ -101,7 +90,7 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) (*R
 		}
 	}
 	sortFindings(findings)
-	res := &Result{Findings: findings, Facts: facts}
+	res := &Result{Findings: findings}
 	for ai, a := range analyzers {
 		res.Timings = append(res.Timings, Timing{Analyzer: a.Name, Nanos: nanos[ai]})
 	}

@@ -1,13 +1,10 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -20,17 +17,14 @@ import (
 // dependency.
 //
 // The design mirrors golang.org/x/tools/go/analysis: a Fact is a pointer
-// to a struct implementing the marker method AFact, facts are keyed by
-// (object, concrete fact type), and they serialize with encoding/gob so
-// separate driver processes (the go vet .cfg protocol, one process per
-// package unit) can hand them across package boundaries. Within one
-// in-process driver run the store is shared and object identity is
-// preserved by the shared importer, so no serialization happens at all.
+// to a struct implementing the marker method AFact, and facts are keyed by
+// (object, concrete fact type). One driver run shares one in-process
+// store, and the loader's shared importer preserves object identity
+// across packages, so facts are never serialized.
 
 // Fact is a value attached to an object or package by one analyzer and
 // importable by later passes over importing packages. Implementations must
-// be pointers to gob-encodable structs and are registered via
-// Analyzer.FactTypes.
+// be pointers to structs.
 type Fact interface {
 	// AFact marks the type as a fact; it is never called.
 	AFact()
@@ -124,7 +118,7 @@ type ObjectFact struct {
 }
 
 // ObjectFactsOf returns every object fact attached to objects of the given
-// package, sorted by object path and fact type for determinism.
+// package, sorted by object position and fact type for determinism.
 func (f *Facts) ObjectFactsOf(pkg *types.Package) []ObjectFact {
 	f.mu.RLock()
 	var out []ObjectFact
@@ -135,183 +129,10 @@ func (f *Facts) ObjectFactsOf(pkg *types.Package) []ObjectFact {
 	}
 	f.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
-		pi, _ := ObjectPath(out[i].Object)
-		pj, _ := ObjectPath(out[j].Object)
-		if pi != pj {
+		if pi, pj := out[i].Object.Pos(), out[j].Object.Pos(); pi != pj {
 			return pi < pj
 		}
 		return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
 	})
 	return out
-}
-
-// ObjectPath names a package-level object, a method, or a struct field so
-// a fact attached to it can be resolved by a separate driver process that
-// type-checked the same package independently. Supported shapes:
-//
-//	Name         package-scope func, type, var or const
-//	Type.Method  method of a package-level named type (any receiver form)
-//	Type.Field   field of a package-level named struct type
-//
-// Objects outside these shapes (locals, interface methods of anonymous
-// types, ...) are not addressable; ok is false and the fact stays
-// process-local.
-func ObjectPath(obj types.Object) (path string, ok bool) {
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	scope := obj.Pkg().Scope()
-	if scope.Lookup(obj.Name()) == obj {
-		return obj.Name(), true
-	}
-	// Method: receiver base type names the owner.
-	if fn, isFunc := obj.(*types.Func); isFunc {
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if p, isPtr := t.(*types.Pointer); isPtr {
-				t = p.Elem()
-			}
-			if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() == obj.Pkg() {
-				return named.Obj().Name() + "." + obj.Name(), true
-			}
-		}
-		return "", false
-	}
-	// Struct field: scan the package's named struct types.
-	if v, isVar := obj.(*types.Var); isVar && v.IsField() {
-		for _, name := range scope.Names() {
-			tn, isType := scope.Lookup(name).(*types.TypeName)
-			if !isType {
-				continue
-			}
-			st, isStruct := tn.Type().Underlying().(*types.Struct)
-			if !isStruct {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i) == obj {
-					return name + "." + obj.Name(), true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// FindObject resolves an ObjectPath within pkg, returning nil when the
-// path does not resolve (the importing package sees a different version of
-// the source than the exporting one did).
-func FindObject(pkg *types.Package, path string) types.Object {
-	name, rest, nested := strings.Cut(path, ".")
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	if !nested {
-		return obj
-	}
-	tn, ok := obj.(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if ok {
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == rest {
-				return m
-			}
-		}
-	}
-	if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == rest {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
-// factRecord is the gob wire form of one fact.
-type factRecord struct {
-	// Object is the ObjectPath of the decorated object; empty for a
-	// package fact.
-	Object string
-	// Fact is the fact value; its concrete type must be gob-registered
-	// (RegisterFactTypes).
-	Fact Fact
-}
-
-// RegisterFactTypes gob-registers the fact prototypes of every analyzer so
-// Encode/Decode can carry them through interface-typed records. Safe to
-// call repeatedly.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// Encode serializes every fact attached to pkg or its objects, in a
-// deterministic order. The result is the package's contribution to a vet
-// tool's .vetx facts file.
-func (f *Facts) Encode(pkg *types.Package) ([]byte, error) {
-	var recs []factRecord
-	f.mu.RLock()
-	for k, v := range f.obj {
-		if k.obj.Pkg() != pkg {
-			continue
-		}
-		path, ok := ObjectPath(k.obj)
-		if !ok {
-			continue // process-local fact; unreachable from other units
-		}
-		recs = append(recs, factRecord{Object: path, Fact: v})
-	}
-	for k, v := range f.pkg {
-		if k.path == pkg.Path() {
-			recs = append(recs, factRecord{Fact: v})
-		}
-	}
-	f.mu.RUnlock()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Object != recs[j].Object {
-			return recs[i].Object < recs[j].Object
-		}
-		return fmt.Sprintf("%T", recs[i].Fact) < fmt.Sprintf("%T", recs[j].Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts of %s: %w", pkg.Path(), err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges a dependency package's encoded facts into the store,
-// resolving object paths against pkg. Unresolvable paths are skipped: a
-// missing object means the fact decorates something this unit cannot see,
-// so no pass will ask for it either.
-func (f *Facts) Decode(pkg *types.Package, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var recs []factRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return fmt.Errorf("analysis: decoding facts of %s: %w", pkg.Path(), err)
-	}
-	for _, r := range recs {
-		if r.Fact == nil {
-			continue
-		}
-		if r.Object == "" {
-			f.setPackage(pkg.Path(), r.Fact)
-			continue
-		}
-		if obj := FindObject(pkg, r.Object); obj != nil {
-			f.setObject(obj, r.Fact)
-		}
-	}
-	return nil
 }

@@ -94,8 +94,7 @@ var Analyzer = &analysis.Analyzer{
 		"field or annotate the exceptions with //postopc:keyignore <reason>.\n" +
 		"Coverage and exemptions are exported as facts, so field-by-field\n" +
 		"serialization of imported structs is checked too.",
-	FactTypes: []analysis.Fact{(*Coverage)(nil), (*Ignored)(nil)},
-	Run:       run,
+	Run: run,
 }
 
 // keyFuncPrefix reports whether name belongs to the AppendKey family.

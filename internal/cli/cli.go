@@ -69,7 +69,7 @@ type TelemetryFlags struct {
 func Telemetry(tool string) *TelemetryFlags {
 	t := &TelemetryFlags{tool: tool}
 	flag.StringVar(&t.metrics, "metrics", "",
-		"export metrics: a file path writes Prometheus text at exit; \":port\" serves Prometheus (/metrics) and expvar JSON (/debug/vars) live")
+		"export metrics: a file path writes Prometheus text at exit; \":port\" serves it live at /metrics")
 	flag.StringVar(&t.trace, "trace", "",
 		"write the run's spans to this file as Chrome trace-event JSON (load via chrome://tracing or Perfetto)")
 	flag.StringVar(&t.pprof, "pprof", "",

@@ -138,7 +138,6 @@ func TestPlacedChipWindowsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = lib
 	// Reuse the placer through the stdcell-only path to avoid an import
 	// cycle in tests: build a tiny row manually from library cells.
 	ch := &layout.Chip{Name: "row"}

@@ -320,8 +320,12 @@ func (j *Journal) WriteLedger(w io.Writer, snap Snapshot, spans []SpanEvent) err
 		}
 	}
 
-	if err := writeSpanSummaries(emit, spans); err != nil {
-		return err
+	for _, sp := range summarizeSpans(spans) {
+		if err := emit(ledgerSpanLine{
+			T: "span", Name: sp.Name, Count: sp.Count, Total: sp.Total, P50: sp.P50, P99: sp.P99,
+		}); err != nil {
+			return err
+		}
 	}
 
 	for i := range records {
@@ -362,34 +366,6 @@ func (j *Journal) WriteLedger(w io.Writer, snap Snapshot, spans []SpanEvent) err
 			}); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// writeSpanSummaries emits one "span" line per span name, sorted by name.
-func writeSpanSummaries(emit func(interface{}) error, spans []SpanEvent) error {
-	byName := map[string][]int64{}
-	for _, ev := range spans {
-		byName[ev.Name] = append(byName[ev.Name], ev.Dur)
-	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		durs := byName[n]
-		sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-		var total int64
-		for _, d := range durs {
-			total += d
-		}
-		if err := emit(ledgerSpanLine{
-			T: "span", Name: n, Count: len(durs), Total: total,
-			P50: percentileNS(durs, 0.50), P99: percentileNS(durs, 0.99),
-		}); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func testJournal(scale int64) *Journal {
 	return j
 }
 
-func ledgerBytes(t *testing.T, j *Journal, snap Snapshot, spans []SpanEvent) []byte {
+func ledgerBytes(t testing.TB, j *Journal, snap Snapshot, spans []SpanEvent) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := j.WriteLedger(&buf, snap, spans); err != nil {
@@ -220,5 +221,46 @@ func TestLedgerSummaryTables(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
+	}
+	// The vek row names the kernel path that ran, then the build level
+	// and the detected CPU features.
+	if !strings.Contains(out, "avx2 (GOAMD64 v1) cpu=none") {
+		t.Fatalf("manifest vek row does not name the kernel path:\n%s", out)
+	}
+}
+
+// TestSpanSummaryOneSource: the ledger's span lines are exact per-name
+// aggregates in name order, and the span table renders the same rows —
+// total descending, name breaking ties — whether it is fed from a tracer
+// or from a parsed ledger.
+func TestSpanSummaryOneSource(t *testing.T) {
+	events := []SpanEvent{
+		{Name: "a.quick", ID: 1, Dur: 100},
+		{Name: "b.slow", ID: 2, Dur: 1000},
+		{Name: "c.tie", ID: 3, Dur: 300},
+		{Name: "a.quick", ID: 4, Dur: 200},
+		{Name: "b.slow", ID: 5, Dur: 3000},
+	}
+	l, err := ReadLedger(bytes.NewReader(ledgerBytes(t, testJournal(1), Snapshot{}, events)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []LedgerSpan{
+		{Name: "a.quick", Count: 2, Total: 300, P50: 150, P99: 199},
+		{Name: "b.slow", Count: 2, Total: 4000, P50: 2000, P99: 2980},
+		{Name: "c.tie", Count: 1, Total: 300, P50: 300, P99: 300},
+	}
+	if !reflect.DeepEqual(l.Spans, want) {
+		t.Fatalf("ledger span lines:\n got %+v\nwant %+v", l.Spans, want)
+	}
+	tr := NewTracer()
+	tr.events = events
+	fromTrace := tr.SummaryTable().String()
+	if fromLedger := l.SummaryTables()[2].String(); fromLedger != fromTrace {
+		t.Fatalf("span tables differ:\ntracer:\n%s\nledger:\n%s", fromTrace, fromLedger)
+	}
+	ia, ib, ic := strings.Index(fromTrace, "a.quick"), strings.Index(fromTrace, "b.slow"), strings.Index(fromTrace, "c.tie")
+	if !(0 <= ib && ib < ia && ia < ic) {
+		t.Fatalf("span table not ordered by total, then name:\n%s", fromTrace)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"postopc/internal/report"
@@ -80,9 +81,11 @@ type ledgerAnyLine struct {
 	T string `json:"t"`
 	Manifest
 	Fields map[string]string `json:"fields"`
+	// V is a counter's uint64 or a gauge's float64, kept as its literal
+	// so counters above 2^53 read back exactly.
+	V json.Number `json:"v"`
 
 	Name   string  `json:"name"`
-	V      float64 `json:"v"`
 	Count  float64 `json:"count"`
 	Sum    float64 `json:"sum"`
 	Q50    float64 `json:"q50"`
@@ -139,9 +142,17 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 				l.Fields[k] = v
 			}
 		case "counter":
-			l.Counters[ln.Name] = uint64(ln.V)
+			v, err := strconv.ParseUint(ln.V.String(), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("ledger line %d: counter %q: %w", lineNo, ln.Name, err)
+			}
+			l.Counters[ln.Name] = v
 		case "gauge":
-			l.Gauges[ln.Name] = ln.V
+			v, err := ln.V.Float64()
+			if err != nil {
+				return nil, fmt.Errorf("ledger line %d: gauge %q: %w", lineNo, ln.Name, err)
+			}
+			l.Gauges[ln.Name] = v
 		case "hist":
 			l.Hists = append(l.Hists, LedgerHist{Name: ln.Name, Count: uint64(ln.Count), Sum: ln.Sum, Q50: ln.Q50, Q95: ln.Q95, Q99: ln.Q99})
 		case "stage":
@@ -210,62 +221,11 @@ func (l *Ledger) Metrics() map[string]float64 {
 	return m
 }
 
-// ReadBenchMetrics flattens a committed BENCH_*.json baseline into the
-// same named-scalar form as Ledger.Metrics: "bench.<benchmark>.<path>"
-// for every numeric leaf of each results entry ("bench.BenchmarkFoo.
-// engine.ns_per_op"). Non-numeric leaves are skipped.
-func ReadBenchMetrics(r io.Reader) (map[string]float64, error) {
-	var doc struct {
-		Results []map[string]interface{} `json:"results"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, err
-	}
-	if len(doc.Results) == 0 {
-		return nil, fmt.Errorf("not a bench baseline (no results array)")
-	}
-	m := map[string]float64{}
-	for _, res := range doc.Results {
-		name, _ := res["benchmark"].(string)
-		if name == "" {
-			name, _ = res["name"].(string)
-		}
-		if name == "" {
-			continue
-		}
-		for k, v := range res {
-			if k == "benchmark" || k == "name" {
-				continue
-			}
-			flattenBench(m, "bench."+name+"."+k, v)
-		}
-	}
-	return m, nil
-}
-
-func flattenBench(m map[string]float64, prefix string, v interface{}) {
-	switch x := v.(type) {
-	case float64:
-		m[prefix] = x
-	case map[string]interface{}:
-		for k, sub := range x {
-			flattenBench(m, prefix+"."+k, sub)
-		}
-	}
-}
-
 // DiffOptions configure a regression diff.
 type DiffOptions struct {
-	// ThresholdPct is the default allowed worsening in percent (20 means a
-	// metric may grow to 1.2× its baseline before it regresses).
+	// ThresholdPct is the allowed worsening in percent (20 means a metric
+	// may grow to 1.2× its baseline before it regresses).
 	ThresholdPct float64
-	// PerMetric overrides the threshold for specific metric names.
-	PerMetric map[string]float64
-	// Rename maps current-run metric names onto baseline names, so a
-	// ledger series can gate against a BENCH_*.json series
-	// ("stage.image.p50_ns" → "bench.BenchmarkGaussianAerial.engine.ns_per_op").
-	Rename map[string]string
 	// MinNS drops latency comparisons whose baseline is below this floor
 	// (sub-resolution timings are noise, not signal).
 	MinNS float64
@@ -295,14 +255,14 @@ func lowerIsWorse(name string) bool {
 // latencyMetric reports whether a metric is a nanosecond series (subject
 // to the MinNS noise floor).
 func latencyMetric(name string) bool {
-	return strings.HasSuffix(name, "_ns") || strings.HasSuffix(name, "ns_per_op") ||
+	return strings.HasSuffix(name, "_ns") ||
 		strings.HasSuffix(name, ".q50") || strings.HasSuffix(name, ".q95") || strings.HasSuffix(name, ".q99")
 }
 
 // Diff compares the current run against a baseline over the intersection
-// of their metric names (after Rename), flagging every metric that
-// worsened past its threshold. Rows come back sorted: regressions first
-// (largest relative worsening first), then the rest by name.
+// of their metric names, flagging every metric that worsened past the
+// threshold. Rows come back sorted: regressions first (largest relative
+// worsening first), then the rest by name.
 func Diff(base, cur map[string]float64, opt DiffOptions) DiffResult {
 	var res DiffResult
 	names := make([]string, 0, len(cur))
@@ -311,13 +271,7 @@ func Diff(base, cur map[string]float64, opt DiffOptions) DiffResult {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		baseName := name
-		if opt.Rename != nil {
-			if mapped, ok := opt.Rename[name]; ok {
-				baseName = mapped
-			}
-		}
-		b, ok := base[baseName]
+		b, ok := base[name]
 		if !ok {
 			continue
 		}
@@ -325,14 +279,7 @@ func Diff(base, cur map[string]float64, opt DiffOptions) DiffResult {
 		if latencyMetric(name) && b < opt.MinNS {
 			continue
 		}
-		row := DiffRow{Metric: name, Base: b, Cur: c}
-		if baseName != name {
-			row.Metric = name + "→" + baseName
-		}
-		row.Threshold = opt.ThresholdPct
-		if t, ok := opt.PerMetric[name]; ok {
-			row.Threshold = t
-		}
+		row := DiffRow{Metric: name, Base: b, Cur: c, Threshold: opt.ThresholdPct}
 		if b != 0 {
 			row.DeltaPct = (c - b) / b * 100
 		} else if c != 0 {
@@ -387,7 +334,7 @@ func (l *Ledger) SummaryTables() []*report.Table {
 	man.Add("tool", m.Tool)
 	man.Add("go", fmt.Sprintf("%s %s/%s", m.GoVersion, m.GOOS, m.GOARCH))
 	man.Add("gomaxprocs", fmt.Sprintf("%d (numcpu %d)", m.GOMAXPROCS, m.NumCPU))
-	man.Add("vek", fmt.Sprintf("%s cpu=%s", m.VekLevel, m.CPUFeatures))
+	man.Add("vek", fmt.Sprintf("%s (GOAMD64 %s) cpu=%s", m.VekPath, m.VekLevel, m.CPUFeatures))
 	man.Add("module", m.Module)
 	keys := make([]string, 0, len(l.Fields))
 	for k := range l.Fields {
@@ -402,11 +349,6 @@ func (l *Ledger) SummaryTables() []*report.Table {
 	for _, s := range l.Stages {
 		st.AddF(3, s.Stage, s.Count, float64(s.Total)/1e6, float64(s.P50)/1e6,
 			float64(s.P95)/1e6, float64(s.P99)/1e6, float64(s.Max)/1e6)
-	}
-
-	sp := report.NewTable("span summary", "span", "count", "total(ms)", "p50(ms)", "p99(ms)")
-	for _, s := range l.Spans {
-		sp.AddF(3, s.Name, s.Count, float64(s.Total)/1e6, float64(s.P50)/1e6, float64(s.P99)/1e6)
 	}
 
 	classes := map[string]int{}
@@ -432,5 +374,5 @@ func (l *Ledger) SummaryTables() []*report.Table {
 		ex.AddF(3, e.Stage, e.Rank, e.Kind, e.Index, float64(e.NS)/1e6, sig)
 	}
 
-	return []*report.Table{man, st, sp, cl, ex}
+	return []*report.Table{man, st, spanTable(l.Spans), cl, ex}
 }

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // ledgerMetrics writes a journal out and reads its flat metric view back
@@ -82,13 +85,12 @@ func TestDiffFlagsInjectedRegression(t *testing.T) {
 	}
 }
 
-// TestDiffDirectionAndOverrides: rates regress downward, per-metric
-// thresholds override the default, and the MinNS floor drops noise.
+// TestDiffDirectionAndOverrides: rates regress downward, latencies
+// upward, and the MinNS floor drops noise.
 func TestDiffDirectionAndOverrides(t *testing.T) {
-	base := map[string]float64{"cache.hit_rate": 0.9, "stage.opc.p50_ns": 100, "stage.tiny.p50_ns": 40}
-	cur := map[string]float64{"cache.hit_rate": 0.5, "stage.opc.p50_ns": 125, "stage.tiny.p50_ns": 4000}
-	d := Diff(base, cur, DiffOptions{ThresholdPct: 20, MinNS: 1000,
-		PerMetric: map[string]float64{"stage.opc.p50_ns": 30}})
+	base := map[string]float64{"cache.hit_rate": 0.9, "stage.opc.p50_ns": 2000, "stage.tiny.p50_ns": 40}
+	cur := map[string]float64{"cache.hit_rate": 0.5, "stage.opc.p50_ns": 2200, "stage.tiny.p50_ns": 4000}
+	d := Diff(base, cur, DiffOptions{ThresholdPct: 20, MinNS: 1000})
 	byName := map[string]DiffRow{}
 	for _, r := range d.Rows {
 		byName[r.Metric] = r
@@ -96,53 +98,11 @@ func TestDiffDirectionAndOverrides(t *testing.T) {
 	if r, ok := byName["cache.hit_rate"]; !ok || !r.Regressed {
 		t.Fatalf("hit-rate collapse not flagged: %+v", byName)
 	}
-	if r := byName["stage.opc.p50_ns"]; r.Regressed {
-		t.Fatalf("25%% growth flagged despite 30%% per-metric threshold: %+v", r)
+	if r, ok := byName["stage.opc.p50_ns"]; !ok || r.Regressed || r.Threshold != 20 {
+		t.Fatalf("10%% latency growth flagged or misreported at a 20%% threshold: %+v", r)
 	}
 	if _, ok := byName["stage.tiny.p50_ns"]; ok {
 		t.Fatal("sub-MinNS baseline compared")
-	}
-}
-
-// TestDiffRename maps a ledger series onto a bench-baseline series.
-func TestDiffRename(t *testing.T) {
-	base := map[string]float64{"bench.BenchmarkX.engine.ns_per_op": 1000}
-	cur := map[string]float64{"stage.image.p50_ns": 5000}
-	d := Diff(base, cur, DiffOptions{ThresholdPct: 50,
-		Rename: map[string]string{"stage.image.p50_ns": "bench.BenchmarkX.engine.ns_per_op"}})
-	if len(d.Rows) != 1 || !d.Rows[0].Regressed {
-		t.Fatalf("renamed comparison missing or unflagged: %+v", d.Rows)
-	}
-	if !strings.Contains(d.Rows[0].Metric, "→") {
-		t.Fatalf("renamed row should show the mapping: %+v", d.Rows[0])
-	}
-}
-
-// TestReadBenchMetrics flattens both the flat and the nested
-// (baseline/engine) BENCH_*.json result shapes.
-func TestReadBenchMetrics(t *testing.T) {
-	doc := `{
-	  "name": "kernel", "results": [
-	    {"benchmark": "BenchmarkA", "ns_per_op": 123.5, "allocs_per_op": 3},
-	    {"benchmark": "BenchmarkB", "baseline": {"ns_per_op": 10}, "engine": {"ns_per_op": 2, "note": "x"}}
-	  ]}`
-	m, err := ReadBenchMetrics(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"bench.BenchmarkA.ns_per_op":          123.5,
-		"bench.BenchmarkA.allocs_per_op":      3,
-		"bench.BenchmarkB.baseline.ns_per_op": 10,
-		"bench.BenchmarkB.engine.ns_per_op":   2,
-	}
-	for k, v := range want {
-		if m[k] != v {
-			t.Fatalf("metric %s: got %g want %g (all: %v)", k, m[k], v, m)
-		}
-	}
-	if _, err := ReadBenchMetrics(strings.NewReader(`{"nope": 1}`)); err == nil {
-		t.Fatal("non-bench JSON accepted")
 	}
 }
 
@@ -165,4 +125,58 @@ func TestReadLedgerRejectsGarbage(t *testing.T) {
 	if _, err := ReadLedger(strings.NewReader(`{"foo": 1}`)); err == nil {
 		t.Fatal("unrelated JSON accepted as a ledger")
 	}
+	// A counter is a uint64; anything else is an error, not a rounded or
+	// wrapped value.
+	for _, v := range []string{"-1", "1.5", `"x"`} {
+		if _, err := ReadLedger(strings.NewReader(`{"t":"counter","name":"c","v":` + v + `}`)); err == nil {
+			t.Fatalf("counter value %s accepted", v)
+		}
+	}
+}
+
+// FuzzReadLedger fuzzes the ledger reader, postopc-report's only input
+// parser, with two properties: (a) arbitrary bytes never make ReadLedger,
+// Metrics or SummaryTables panic; (b) a journal holding one fuzzed window
+// record and a fuzzed counter, written by WriteLedger, reads back with
+// the same values.
+func FuzzReadLedger(f *testing.F) {
+	snap := Snapshot{Counters: []CounterValue{{Name: "cache.hits_total", Value: 2}}}
+	seed := ledgerBytes(f, testJournal(1), snap, []SpanEvent{{Name: "flow.run", ID: 1, Dur: 5e6}})
+	for _, data := range [][]byte{seed, []byte("not json\n"), []byte(`{"foo": 1}`)} {
+		f.Add(data, "window", "sig", "miss", int64(1000), int64(0), int64(50000), int64(200000), int64(0), int64(0), "cache.hits_total", uint64(2))
+	}
+	f.Add(seed, "tile", "", "hit", int64(-1), int64(1)<<62, int64(0), int64(0), int64(7), int64(0), "c", uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, data []byte, kind, sig, class string, clip, canon, opcNS, image, contour, profile int64, counter string, value uint64) {
+		if l, err := ReadLedger(bytes.NewReader(data)); err == nil {
+			l.Metrics()
+			for _, tb := range l.SummaryTables() {
+				tb.Fprint(io.Discard)
+			}
+		}
+
+		for _, s := range []string{kind, sig, class, counter} {
+			if !utf8.ValidString(s) {
+				return // encoding/json writes invalid UTF-8 as U+FFFD
+			}
+		}
+		j := NewJournal(0)
+		j.SetManifest(Manifest{Tool: "fuzz"})
+		rec := WindowRecord{Kind: kind, Sig: sig, Class: class, NS: [NumStages]int64{clip, canon, opcNS, image, contour, profile}}
+		j.Record(&rec)
+		raw := ledgerBytes(t, j, Snapshot{Counters: []CounterValue{{Name: counter, Value: value}}}, nil)
+		l, err := ReadLedger(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("written ledger does not parse: %v\n%s", err, raw)
+		}
+		if len(l.Windows) != 1 {
+			t.Fatalf("got %d windows, want 1\n%s", len(l.Windows), raw)
+		}
+		w := l.Windows[0]
+		if w.Kind != kind || w.Sig != sig || w.Class != class || w.NS != rec.NS || w.Total != rec.Total() {
+			t.Fatalf("window did not round-trip: got %+v, want %+v (total %d)", w, rec, rec.Total())
+		}
+		if got, ok := l.Counters[counter]; !ok || got != value {
+			t.Fatalf("counter %q = %d (present %v), want %d", counter, got, ok, value)
+		}
+	})
 }

@@ -3,8 +3,8 @@
 // histograms with zero-alloc hot-path updates and deterministic snapshot
 // order), span tracing with monotonic timestamps and explicit parent IDs
 // (exportable as Chrome trace-event JSON and as a report.Table summary),
-// and the HTTP plumbing to expose both (Prometheus text format and expvar
-// JSON).
+// the run ledger (journal.go, ledger.go), and the HTTP plumbing that
+// serves the metrics in Prometheus text format.
 //
 // Everything hangs off a Sink, and the zero value is a no-op: a nil *Sink
 // — and every handle resolved through one — is safe to use and does

@@ -2,59 +2,22 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"net/http"
-	"sync"
 	"time"
 )
 
-// HTTP exposure: Handler serves a registry over three conventional
-// endpoints — Prometheus text format at /metrics, expvar-style JSON at
-// /debug/vars (the stock expvar handler, with the registry published as
-// the "postopc" variable and the build identity as "postopc_build_info"),
-// and a trivial liveness probe at /healthz. NewServer wraps the handler
-// in an http.Server hardened for long-lived embedding (header-read
-// timeout against slowloris peers, graceful Shutdown) — the listener the
-// future postopc-served daemon will mount. CLIs mount it with
-// -metrics :port; the pprof endpoints come from net/http/pprof on the
-// CLI side.
-
-// publishOnce guards expvar.Publish, which panics on duplicate names; the
-// registry behind the variable is swappable so tests and successive
-// Handler calls stay safe.
-var (
-	publishOnce sync.Once
-	publishMu   sync.Mutex
-	publishReg  *Registry
-)
-
-// publishExpvar exposes reg's snapshot as the expvar variable "postopc"
-// and the binary's build identity as "postopc_build_info".
-func publishExpvar(reg *Registry) {
-	publishMu.Lock()
-	publishReg = reg
-	publishMu.Unlock()
-	publishOnce.Do(func() {
-		expvar.Publish("postopc", expvar.Func(func() interface{} {
-			publishMu.Lock()
-			r := publishReg
-			publishMu.Unlock()
-			if r == nil {
-				return Snapshot{}
-			}
-			return r.Snapshot()
-		}))
-		expvar.Publish("postopc_build_info", expvar.Func(func() interface{} {
-			return GetBuildInfo()
-		}))
-	})
-}
+// HTTP exposure: Handler serves a registry over two conventional
+// endpoints — Prometheus text format at /metrics (build identity
+// included, as the postopc_build_info gauge) and a trivial liveness probe
+// at /healthz. NewServer wraps the handler in an http.Server hardened for
+// long-lived embedding (header-read timeout against slowloris peers,
+// graceful Shutdown) — the listener the future postopc-served daemon will
+// mount. CLIs mount it with -metrics :port; the pprof endpoints come from
+// net/http/pprof on the CLI side.
 
 // Handler returns an http.Handler serving reg at /metrics (Prometheus
-// text format), /debug/vars (expvar JSON including the registry snapshot
-// under "postopc") and /healthz (liveness).
+// text format) and /healthz (liveness).
 func Handler(reg *Registry) http.Handler {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -66,7 +29,6 @@ func Handler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 

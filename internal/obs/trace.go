@@ -192,42 +192,50 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// SummaryTable renders the per-span-name aggregate — count, total, p50 and
-// p99 duration — as a report table, one row per name, sorted by total time
-// descending (name breaks ties).
+// SummaryTable renders the per-span-name aggregate of the recorded spans
+// (see spanTable).
 func (t *Tracer) SummaryTable() *report.Table {
-	type agg struct {
-		name string
-		durs []int64
-		tot  int64
+	return spanTable(summarizeSpans(t.Events()))
+}
+
+// summarizeSpans aggregates spans per name — count, total, p50 and p99
+// duration — one entry per name, sorted by name. It feeds both the
+// ledger's span lines and the span summary table.
+func summarizeSpans(events []SpanEvent) []LedgerSpan {
+	byName := map[string][]int64{}
+	for _, ev := range events {
+		byName[ev.Name] = append(byName[ev.Name], ev.Dur)
 	}
-	byName := map[string]*agg{}
-	for _, ev := range t.Events() {
-		a, ok := byName[ev.Name]
-		if !ok {
-			a = &agg{name: ev.Name}
-			byName[ev.Name] = a
+	out := make([]LedgerSpan, 0, len(byName))
+	for name, durs := range byName {
+		sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
+		var total int64
+		for _, d := range durs {
+			total += d
 		}
-		a.durs = append(a.durs, ev.Dur)
-		a.tot += ev.Dur
+		out = append(out, LedgerSpan{
+			Name: name, Count: len(durs), Total: total,
+			P50: percentileNS(durs, 0.50), P99: percentileNS(durs, 0.99),
+		})
 	}
-	rows := make([]*agg, 0, len(byName))
-	for _, a := range byName {
-		rows = append(rows, a)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// spanTable renders span summaries as a report table, one row per name,
+// sorted by total time descending (name breaks ties). It is the span
+// table of both -trace's stdout summary and postopc-report summary.
+func spanTable(spans []LedgerSpan) *report.Table {
+	rows := append([]LedgerSpan(nil), spans...)
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].tot != rows[j].tot {
-			return rows[i].tot > rows[j].tot
+		if rows[i].Total != rows[j].Total {
+			return rows[i].Total > rows[j].Total
 		}
-		return rows[i].name < rows[j].name
+		return rows[i].Name < rows[j].Name
 	})
 	tb := report.NewTable("span summary", "span", "count", "total(ms)", "p50(ms)", "p99(ms)")
-	for _, a := range rows {
-		sort.Slice(a.durs, func(i, j int) bool { return a.durs[i] < a.durs[j] })
-		tb.AddF(3, a.name, len(a.durs),
-			float64(a.tot)/1e6,
-			float64(percentileNS(a.durs, 0.50))/1e6,
-			float64(percentileNS(a.durs, 0.99))/1e6)
+	for _, s := range rows {
+		tb.AddF(3, s.Name, s.Count, float64(s.Total)/1e6, float64(s.P50)/1e6, float64(s.P99)/1e6)
 	}
 	return tb
 }

@@ -138,8 +138,6 @@ func TestRippleCarryCriticalPath(t *testing.T) {
 }
 
 func TestSequentialEndpoints(t *testing.T) {
-	lib, _ := env(t)
-	_ = lib
 	// DFF -> INV -> DFF pipeline.
 	n := &netlist.Netlist{Name: "pipe", Inputs: []string{"din", "clk"}}
 	n.AddGate("f1", "DFF_X1", map[string]string{"D": "din", "CK": "clk", "Q": "q1"})
