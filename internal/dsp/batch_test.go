@@ -14,20 +14,10 @@ func cloneBatch(grids []*FGrid) []*FGrid {
 	return out
 }
 
-// equalBits compares two plane grids for exact (bit-level) equality.
-func equalBits(t *testing.T, tag string, i int, a, b *FGrid) {
-	t.Helper()
-	if a.Nx != b.Nx || a.Ny != b.Ny {
-		t.Fatalf("%s grid %d: size %dx%d vs %dx%d", tag, i, a.Nx, a.Ny, b.Nx, b.Ny)
-	}
-	if j, ok := sameBits(a, b); !ok {
-		t.Fatalf("%s grid %d: element %d = %v, want %v", tag, i, j, a.At(j%a.Nx, j/a.Nx), b.At(j%b.Nx, j/b.Nx))
-	}
-}
-
-// TestBatchPlanBitIdentical asserts the batched transforms are bit-identical
-// per grid to the single-grid FGrid methods, for every direction and band
-// variant, on a batch of differing contents (including a non-square size).
+// TestBatchPlanBitIdentical asserts the batched band-selected forward
+// transform is bit-identical per grid to FGrid.FFT2DBandSelect on the
+// selected rows, on a batch of differing contents (including a non-square
+// size).
 func TestBatchPlanBitIdentical(t *testing.T) {
 	for _, dims := range []struct{ nx, ny int }{{32, 32}, {64, 16}} {
 		rnd := rand.New(rand.NewSource(7))
@@ -41,80 +31,24 @@ func TestBatchPlanBitIdentical(t *testing.T) {
 		}
 		rows := []int{0, 1, 2, dims.ny - 2, dims.ny - 1}
 
-		// Forward full.
 		want := cloneBatch(batch)
 		for _, g := range want {
-			if err := g.FFT2D(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := cloneBatch(batch)
-		if err := bp.FFT2DAllPlanes(got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			equalBits(t, "FFT2DAllPlanes", i, got[i], want[i])
-		}
-
-		// Inverse full (of the forward spectra).
-		back := cloneBatch(want)
-		for _, g := range back {
-			if err := g.IFFT2D(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got2 := cloneBatch(want)
-		if err := bp.IFFT2DAllPlanes(got2); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got2 {
-			equalBits(t, "IFFT2DAllPlanes", i, got2[i], back[i])
-		}
-
-		// Band-selected forward: only the selected rows are defined.
-		wantSel := cloneBatch(batch)
-		for _, g := range wantSel {
 			if err := g.FFT2DBandSelect(rows); err != nil {
 				t.Fatal(err)
 			}
 		}
-		gotSel := cloneBatch(batch)
-		if err := bp.FFT2DBandSelectAllPlanes(gotSel, rows); err != nil {
+		got := cloneBatch(batch)
+		if err := bp.FFT2DBandSelectAllPlanes(got, rows); err != nil {
 			t.Fatal(err)
 		}
-		for i := range gotSel {
+		for i := range got {
 			for _, iy := range rows {
 				for ix := 0; ix < dims.nx; ix++ {
-					if gotSel[i].At(ix, iy) != wantSel[i].At(ix, iy) {
+					if got[i].At(ix, iy) != want[i].At(ix, iy) {
 						t.Fatalf("FFT2DBandSelectAllPlanes grid %d row %d col %d diverged", i, iy, ix)
 					}
 				}
 			}
-		}
-
-		// Band-limited inverse: spectra zero outside the selected rows.
-		spectra := make([]*FGrid, len(batch))
-		for i := range spectra {
-			g := NewFGrid(dims.nx, dims.ny)
-			for _, iy := range rows {
-				for ix := 0; ix < dims.nx; ix++ {
-					g.Set(ix, iy, complex(rnd.NormFloat64(), rnd.NormFloat64()))
-				}
-			}
-			spectra[i] = g
-		}
-		wantInv := cloneBatch(spectra)
-		for _, g := range wantInv {
-			if err := g.IFFT2DBandLimited(rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		gotInv := cloneBatch(spectra)
-		if err := bp.IFFT2DBandLimitedAllPlanes(gotInv, rows); err != nil {
-			t.Fatal(err)
-		}
-		for i := range gotInv {
-			equalBits(t, "IFFT2DBandLimitedAllPlanes", i, gotInv[i], wantInv[i])
 		}
 	}
 }
@@ -128,14 +62,14 @@ func TestBatchPlanRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FFT2DAllPlanes([]*FGrid{NewFGrid(16, 16), NewFGrid(32, 16)}); err == nil {
-		t.Fatal("FFT2DAllPlanes accepted a mis-sized grid")
+	if err := bp.FFT2DBandSelectAllPlanes([]*FGrid{NewFGrid(16, 16), NewFGrid(32, 16)}, nil); err == nil {
+		t.Fatal("FFT2DBandSelectAllPlanes accepted a mis-sized grid")
 	}
 	if err := bp.FFT2DBandSelectAllPlanes([]*FGrid{NewFGrid(16, 16)}, []int{16}); err == nil {
 		t.Fatal("FFT2DBandSelectAllPlanes accepted an out-of-range row")
 	}
-	if err := bp.IFFT2DBandLimitedAllPlanes([]*FGrid{NewFGrid(16, 16)}, []int{-1}); err == nil {
-		t.Fatal("IFFT2DBandLimitedAllPlanes accepted a negative row")
+	if err := bp.FFT2DBandSelectAllPlanes([]*FGrid{NewFGrid(16, 16)}, []int{-1}); err == nil {
+		t.Fatal("FFT2DBandSelectAllPlanes accepted a negative row")
 	}
 }
 
@@ -145,7 +79,7 @@ func TestBatchPlanEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FFT2DAllPlanes(nil); err != nil {
+	if err := bp.FFT2DBandSelectAllPlanes(nil, []int{0, 7}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,17 @@
 // Package dsp implements the signal-processing primitives needed by the
 // lithography simulator: an in-place radix-2 2-D complex FFT with cached
 // twiddle-factor and bit-reversal tables over FGrid, the structure-of-arrays
-// complex grid the vek kernels work on, batched transforms over many
+// complex grid the vek kernels work on, the band-pruned transforms of the
+// Abbe imaging path, a batched band-selected forward transform over many
 // same-size grids (BatchPlan), and pooled FGrid scratch for the imaging hot
 // path. Everything is stdlib-only.
+//
+// The band-limited inverse (FGrid.IFFT2DBandLimited) computes only the
+// pixels its caller keeps: the row pass on the spectrum's support rows, the
+// column pass on the kept columns, without the bit-reversal swaps and
+// butterfly groups that would only move or combine +0 values, and the 1/N
+// scale on the kept region. The kept region is bit-identical to the full
+// inverse, provided every row outside the support holds +0 there.
 package dsp
 
 import "math/bits"

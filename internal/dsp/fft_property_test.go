@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -140,12 +141,72 @@ func TestIFFT2DBandLimitedMatchesFull(t *testing.T) {
 	if err := full.IFFT2D(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.IFFT2DBandLimited(rows); err != nil {
+	if err := g.IFFT2DBandLimited(rows, nx, ny); err != nil {
 		t.Fatal(err)
 	}
 	if i, ok := sameBits(g, full); !ok {
 		t.Fatalf("band-limited inverse differs from full at %d: %v vs %v",
 			i, g.At(i%nx, i/nx), full.At(i%nx, i/nx))
+	}
+}
+
+// TestIFFT2DBandLimitedKeptRegionProperty checks the cropped, zero-group
+// skipping inverse against the full IFFT2D on random spectra: for every
+// support shape (a band around DC that wraps, scattered rows, one row,
+// every row, no row) and every kept size, the kept region must match bit
+// for bit. The 32×8192 grid is taller than the support bitmap's stack
+// buffer, so it covers the heap path of the bookkeeping too.
+func TestIFFT2DBandLimitedKeptRegionProperty(t *testing.T) {
+	rnd := rand.New(rand.NewSource(17))
+	for _, dims := range []struct{ nx, ny int }{{32, 64}, {64, 32}, {32, 8192}} {
+		nx, ny := dims.nx, dims.ny
+		var band, scattered, every []int
+		for iy := 0; iy < ny; iy++ {
+			if iy < 5 || iy >= ny-4 {
+				band = append(band, iy)
+			}
+			if rnd.Intn(5) == 0 {
+				scattered = append(scattered, iy)
+			}
+			every = append(every, iy)
+		}
+		supports := map[string][]int{
+			"band":      band,
+			"scattered": scattered,
+			"one":       {rnd.Intn(ny)},
+			"every":     every,
+			"none":      nil,
+		}
+		for name, rows := range supports {
+			spec := NewFGrid(nx, ny)
+			for _, iy := range rows {
+				for ix := 0; ix < nx; ix++ {
+					spec.Set(ix, iy, complex(rnd.NormFloat64(), rnd.NormFloat64()))
+				}
+			}
+			full := cloneGrid(spec)
+			if err := full.IFFT2D(); err != nil {
+				t.Fatal(err)
+			}
+			for _, cols := range []int{1, 3, 4, 17, nx} {
+				for _, outRows := range []int{1, ny/2 + 1, ny} {
+					g := cloneGrid(spec)
+					if err := g.IFFT2DBandLimited(rows, cols, outRows); err != nil {
+						t.Fatal(err)
+					}
+					for iy := 0; iy < outRows; iy++ {
+						for ix := 0; ix < cols; ix++ {
+							i := iy*nx + ix
+							if math.Float64bits(g.Re[i]) != math.Float64bits(full.Re[i]) ||
+								math.Float64bits(g.Im[i]) != math.Float64bits(full.Im[i]) {
+								t.Fatalf("%dx%d %s support, kept %dx%d: (%d,%d) = %v, full %v",
+									nx, ny, name, cols, outRows, ix, iy, g.At(ix, iy), full.At(ix, iy))
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -179,14 +240,19 @@ func TestBandRowsValidation(t *testing.T) {
 	if err := g.FFT2DBandSelect([]int{8}); err == nil {
 		t.Fatal("expected error for out-of-range band-select row")
 	}
-	if err := g.IFFT2DBandLimited([]int{-1}); err == nil {
+	if err := g.IFFT2DBandLimited([]int{-1}, 8, 8); err == nil {
 		t.Fatal("expected error for negative band-limited row")
+	}
+	for _, kept := range [][2]int{{0, 8}, {9, 8}, {8, 0}, {8, 9}} {
+		if err := g.IFFT2DBandLimited(nil, kept[0], kept[1]); err == nil {
+			t.Fatalf("expected error for kept region %dx%d of an 8x8 grid", kept[0], kept[1])
+		}
 	}
 	ng := NewFGrid(3, 8)
 	if err := ng.FFT2DBandSelect(nil); err == nil {
 		t.Fatal("expected error for non-power-of-two grid")
 	}
-	if err := ng.IFFT2DBandLimited(nil); err == nil {
+	if err := ng.IFFT2DBandLimited(nil, 3, 8); err == nil {
 		t.Fatal("expected error for non-power-of-two grid")
 	}
 }
@@ -212,4 +278,49 @@ func TestBorrowGridReuse(t *testing.T) {
 	}
 	ReturnFGrid(h)
 	ReturnFGrid(nil) // must not panic
+}
+
+// The pool keeps returned grids across garbage collections and hands them
+// out again: the grids of a 16-mask Abbe batch (one transmission grid per
+// mask plus the work grid), borrowed at once and returned, come back
+// after two collections without a new allocation.
+func TestBorrowGridSurvivesGC(t *testing.T) {
+	const peak = 17
+	var first [peak]*FGrid
+	for i := range first {
+		first[i] = BorrowFGrid(64, 32)
+	}
+	for _, g := range first {
+		ReturnFGrid(g)
+	}
+	runtime.GC()
+	runtime.GC()
+	var again [peak]*FGrid
+	for i := range again {
+		again[i] = BorrowFGrid(64, 32)
+	}
+	for _, g := range again {
+		found := false
+		for _, f := range first {
+			found = found || f == g
+		}
+		if !found {
+			t.Fatal("a grid returned before two collections was not handed out again")
+		}
+		ReturnFGrid(g)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		runtime.GC()
+		runtime.GC()
+		var gs [peak]*FGrid
+		for i := range gs {
+			gs[i] = BorrowFGrid(64, 32)
+		}
+		for _, g := range gs {
+			ReturnFGrid(g)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("borrowing %d pooled grids after two collections allocated %v times, want 0", peak, allocs)
+	}
 }

@@ -131,38 +131,54 @@ func fftLinePlanes(re, im []float64, p *plan, inverse bool) {
 // butterfly loop to reuse every fetched line across the whole block.
 const columnBlockW = 16
 
-// fftColumnsBlockedPlanes transforms every column of the row-major nx-wide
-// plane pair in place. Columns advance through the butterfly stages in
-// blocks of adjacent columns so each cache line is reused across the whole
-// block instead of being refetched per column. Within any single column the
-// sequence of floating-point operations is identical to a 1-D transform of
-// the gathered column, so results are unchanged; only the interleaving
-// across (independent) columns differs. The inverse 1/N scaling is NOT
-// applied here — callers scale grid-wide, which divides each element
-// exactly once in the same way.
+// fftColumnsBlockedPlanes transforms columns [0, cols) of the row-major
+// nx-wide plane pair in place. Columns advance through the butterfly stages
+// in blocks of adjacent columns so each cache line is reused across the
+// whole block instead of being refetched per column. Within any single
+// column the sequence of floating-point operations is identical to a 1-D
+// transform of the gathered column, so results are unchanged; only the
+// interleaving across (independent) columns differs. The inverse 1/N
+// scaling is NOT applied here — callers scale, which divides each element
+// exactly once in the same way. live is nil or a support bitmap from
+// supportLiveness (see fftColumnsBlockPlanes).
 //
 //postopc:allocfree
-func fftColumnsBlockedPlanes(re, im []float64, nx int, p *plan, inverse bool) {
-	for c0 := 0; c0 < nx; c0 += columnBlockW {
+func fftColumnsBlockedPlanes(re, im []float64, nx, cols int, p *plan, inverse bool, live []uint64) {
+	for c0 := 0; c0 < cols; c0 += columnBlockW {
 		cw := columnBlockW
-		if nx-c0 < cw {
-			cw = nx - c0
+		if cols-c0 < cw {
+			cw = cols - c0
 		}
-		fftColumnsBlockPlanes(re, im, nx, p, inverse, c0, cw)
+		fftColumnsBlockPlanes(re, im, nx, p, inverse, c0, cw, live)
 	}
 }
 
-// fftColumnsBlockPlanes runs the full butterfly of columns [c0, c0+cw) —
-// one block of fftColumnsBlockedPlanes. Columns are independent, so
-// executing blocks in any order (or interleaved across several grids, as
-// BatchPlan does) leaves every column's float sequence — and therefore its
-// result — unchanged.
+// fftColumnsBlockPlanes runs the butterflies of columns [c0, c0+cw) — one
+// block of fftColumnsBlockedPlanes, one vek.ButterflyGroup call per
+// (stage, start) group. Columns are independent, so executing blocks in
+// any order (or interleaved across several grids, as BatchPlan does)
+// leaves every column's float sequence — and therefore its result —
+// unchanged.
+//
+// With a nil live every swap and group runs. Otherwise live describes
+// which rows may be nonzero (supportLiveness), every other row must hold
+// +0 in the block's columns, and the block skips the work that provably
+// leaves +0 in place:
+//
+//   - a bit-reversal swap between two zero rows;
+//   - a butterfly group none of whose inputs can be nonzero. After the
+//     permutation, the group of stage s starting at start holds exactly
+//     the original rows congruent to rev[start] modulo n>>(s+1); when no
+//     support row is in that class, every value the group reads is +0,
+//     and a radix-2 butterfly maps (+0, +0) to (+0, +0) under any finite
+//     twiddle because +0 ± (±0) = +0. The skipped group therefore already
+//     holds, bit for bit, what its butterflies would have written.
 //
 //postopc:allocfree
-func fftColumnsBlockPlanes(re, im []float64, nx int, p *plan, inverse bool, c0, cw int) {
+func fftColumnsBlockPlanes(re, im []float64, nx int, p *plan, inverse bool, c0, cw int, live []uint64) {
 	n := p.n // number of rows
 	for i, j := range p.rev {
-		if int(j) > i {
+		if int(j) > i && (live == nil || hasBit(live, n+i) || hasBit(live, n+int(j))) {
 			ri := i*nx + c0
 			rj := int(j)*nx + c0
 			swapSpans(re[ri:ri+cw], re[rj:rj+cw])
@@ -172,18 +188,57 @@ func fftColumnsBlockPlanes(re, im []float64, nx int, p *plan, inverse bool, c0, 
 	twRe, twIm := p.twiddlePlanes(inverse)
 	for s := range twRe {
 		size := 2 << uint(s)
-		half := size >> 1
-		sRe, sIm := twRe[s], twIm[s]
+		classes := n / size // residue classes of the rows at this stage
 		for start := 0; start < n; start += size {
-			base := start*nx + c0
-			for k := range sRe {
-				r1 := base + k*nx
-				r2 := r1 + half*nx
-				vek.ButterflyCol(
-					re[r1:r1+cw:r1+cw], im[r1:r1+cw:r1+cw],
-					re[r2:r2+cw:r2+cw], im[r2:r2+cw:r2+cw],
-					sRe[k], sIm[k])
+			if live != nil && !hasBit(live, classes+int(p.rev[start])) {
+				continue
 			}
+			base := start*nx + c0
+			vek.ButterflyGroup(re[base:], im[base:], nx, cw, twRe[s], twIm[s])
 		}
 	}
 }
+
+// liveStackWords sizes the stack buffer of the support bitmap: 2n bits
+// cover column transforms of up to 4096 rows without a heap allocation.
+const liveStackWords = 128
+
+// supportLiveness builds the bitmap fftColumnsBlockPlanes skips by, for an
+// n-row column transform whose nonzero rows are listed in rows: bit n+y is
+// set for every listed row y, and for every power of two m < n bit m+r is
+// set iff some listed row y has y mod m == r — the stage whose groups
+// each hold one residue class modulo m. buf is used when it holds the
+// 2n bits, so the caller's stack array keeps the bookkeeping allocation
+// free; every row must be in [0, n).
+//
+//postopc:allocfree
+func supportLiveness(buf []uint64, rows []int, n int) []uint64 {
+	words := (2*n + 63) / 64
+	live := buf
+	if words > len(buf) {
+		live = make([]uint64, words) //postopc:nolint:allocbudget only column transforms taller than 4096 rows reach the heap
+	}
+	live = live[:words]
+	for i := range live {
+		live[i] = 0
+	}
+	for _, y := range rows {
+		setBit(live, n+y)
+	}
+	// Level m folds level 2m: class r modulo m is the union of classes r
+	// and r+m modulo 2m.
+	for m := n / 2; m >= 1; m /= 2 {
+		for r := 0; r < m; r++ {
+			if hasBit(live, 2*m+r) || hasBit(live, 3*m+r) {
+				setBit(live, m+r)
+			}
+		}
+	}
+	return live
+}
+
+//postopc:allocfree
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+//postopc:allocfree
+func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }

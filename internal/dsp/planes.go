@@ -94,13 +94,23 @@ func (f *FGrid) FFT2DBandSelect(rows []int) error {
 }
 
 // IFFT2DBandLimited performs the inverse 2-D transform of a spectrum whose
-// energy is confined to the listed rows: the row pass runs on those rows
-// only (the inverse FFT of an all-zero row is identically zero), the column
-// pass is full. For such spectra the result equals IFFT2D; rows outside the
-// list must be zero or the transform is wrong.
-func (f *FGrid) IFFT2DBandLimited(rows []int) error {
+// energy is confined to the listed rows, computing only the kept region:
+// columns [0, cols) of rows [0, outRows). The row pass runs on the listed
+// rows only (the inverse FFT of an all-zero row is identically zero), the
+// column pass on columns [0, cols) only, skipping every bit-reversal swap
+// and butterfly group that would only move or combine zeros, and the 1/Ny
+// scale touches the kept region only. Within the kept region the result
+// equals IFFT2D bit for bit; values outside it are unspecified.
+//
+// Contract: every row not in the list must hold +0 (as Clear and vek.Zero
+// leave it, not -0) in columns [0, cols); the skipped butterflies are
+// exact only on +0 inputs.
+func (f *FGrid) IFFT2DBandLimited(rows []int, cols, outRows int) error {
 	if !IsPow2(f.Nx) || !IsPow2(f.Ny) {
 		return fmt.Errorf("dsp: grid %dx%d not power-of-two", f.Nx, f.Ny)
+	}
+	if cols < 1 || cols > f.Nx || outRows < 1 || outRows > f.Ny {
+		return fmt.Errorf("dsp: kept region %dx%d outside grid %dx%d", cols, outRows, f.Nx, f.Ny)
 	}
 	rowPlan := planFor(f.Nx)
 	for _, iy := range rows {
@@ -109,7 +119,13 @@ func (f *FGrid) IFFT2DBandLimited(rows []int) error {
 		}
 		fftLinePlanes(f.Re[iy*f.Nx:(iy+1)*f.Nx], f.Im[iy*f.Nx:(iy+1)*f.Nx], rowPlan, true)
 	}
-	f.transformColumns(true)
+	var buf [liveStackWords]uint64
+	live := supportLiveness(buf[:], rows, f.Ny)
+	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, cols, planFor(f.Ny), true, live)
+	for iy := 0; iy < outRows; iy++ {
+		o := iy * f.Nx
+		vek.ScaleInv(f.Re[o:o+cols], f.Im[o:o+cols], float64(f.Ny))
+	}
 	return nil
 }
 
@@ -120,7 +136,7 @@ func (f *FGrid) IFFT2DBandLimited(rows []int) error {
 //
 //postopc:allocfree
 func (f *FGrid) transformColumns(inverse bool) {
-	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, planFor(f.Ny), inverse)
+	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, f.Nx, planFor(f.Ny), inverse, nil)
 	if inverse {
 		vek.ScaleInv(f.Re, f.Im, float64(f.Ny))
 	}

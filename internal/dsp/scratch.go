@@ -8,12 +8,22 @@ import "sync"
 // equally-sized windows. BorrowFGrid/ReturnFGrid recycles the planes so
 // those calls allocate nothing after warm-up.
 //
-// The pool is safe for concurrent use (extraction and ORC workers share
-// it). A borrowed grid's contents are unspecified — callers must overwrite
-// or Clear before reading, which also keeps results independent of pool
+// The pool is a free list, safe for concurrent use (extraction and ORC
+// workers share it). It allocates a grid only when every grid it has made
+// is out, so it grows to the largest number of grids ever borrowed at
+// once (two per imaging worker, or one per mask plus one for a batch) and
+// never holds more. It keeps them across garbage collections: a sync.Pool
+// drops every grid that sat idle through two of them, and an imaging
+// worker spends whole GC cycles in OPC between two windows, so it would
+// reallocate its grids (4 MB each at 512×512) every few windows. A
+// borrowed grid's contents are unspecified — callers must overwrite or
+// Clear before reading, which also keeps results independent of pool
 // history.
 
-var fgridPool sync.Pool
+var fgridFree struct {
+	mu    sync.Mutex
+	grids []*FGrid
+}
 
 // BorrowFGrid returns an Nx × Ny plane grid from the pool, allocating only
 // when no pooled grid is large enough. Contents are unspecified — callers
@@ -21,7 +31,14 @@ var fgridPool sync.Pool
 //
 //postopc:allocfree
 func BorrowFGrid(nx, ny int) *FGrid {
-	f, _ := fgridPool.Get().(*FGrid)
+	var f *FGrid
+	fgridFree.mu.Lock()
+	if n := len(fgridFree.grids); n > 0 {
+		f = fgridFree.grids[n-1]
+		fgridFree.grids[n-1] = nil
+		fgridFree.grids = fgridFree.grids[:n-1]
+	}
+	fgridFree.mu.Unlock()
 	if f == nil {
 		return NewFGrid(nx, ny) //postopc:nolint:allocbudget pool miss before warm-up is the cold path
 	}
@@ -40,7 +57,10 @@ func BorrowFGrid(nx, ny int) *FGrid {
 //
 //postopc:allocfree
 func ReturnFGrid(f *FGrid) {
-	if f != nil {
-		fgridPool.Put(f)
+	if f == nil {
+		return
 	}
+	fgridFree.mu.Lock()
+	fgridFree.grids = append(fgridFree.grids, f) //postopc:nolint:allocbudget the list grows only while the peak number of grids out at once rises
+	fgridFree.mu.Unlock()
 }

@@ -10,7 +10,8 @@ import (
 // kernel_micro block: each of the three dominant inner loops — butterfly,
 // pointwise filter apply, scaled intensity accumulate — timed as the
 // complex128 reference loop and as the SoA plane kernel, at the span
-// length the real pipeline uses (a 256-wide row/column block), plus the
+// length the real pipeline uses (a 256-wide row/column block), one
+// butterfly group of a 16-column block as the column pass runs it, plus the
 // fast model's blur tap sums (256 outputs, the 121 taps of the broad
 // kernel at nominal focus) against their Go loops. Run on the default
 // build and again on the Go reference loops:
@@ -57,9 +58,48 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 	b.Run("butterfly/soa", func(b *testing.B) {
 		loRe, loIm := benchPlanes(1.5)
 		hiRe, hiIm := benchPlanes(-0.75)
+		re, im := append(loRe, hiRe...), append(loIm, hiIm...)
+		twRe, twIm := []float64{0.6}, []float64{-0.8}
 		b.SetBytes(benchN * 16 * 2)
 		for i := 0; i < b.N; i++ {
-			vek.ButterflyCol(loRe, loIm, hiRe, hiIm, 0.6, -0.8)
+			vek.ButterflyGroup(re, im, benchN, benchN, twRe, twIm)
+		}
+	})
+
+	// One butterfly group of the column pass as the blocked transform runs
+	// it: a 16-column block of a 256-wide plane, 16 butterflies (stage 4),
+	// each with its own twiddle.
+	const groupCW, groupHalf = 16, 16
+	b.Run("butterfly-group/complex128", func(b *testing.B) {
+		rows := make([][]complex128, 2*groupHalf)
+		for r := range rows {
+			rows[r] = benchComplexLine(float64(r))[:groupCW]
+		}
+		tw := benchComplexLine(0.5)[:groupHalf]
+		b.SetBytes(groupHalf * groupCW * 16 * 2)
+		for i := 0; i < b.N; i++ {
+			for k, w := range tw {
+				lo, hi := rows[k], rows[k+groupHalf]
+				for c := range lo {
+					a := lo[c]
+					bb := hi[c] * w
+					lo[c] = a + bb
+					hi[c] = a - bb
+				}
+			}
+		}
+	})
+	b.Run("butterfly-group/soa", func(b *testing.B) {
+		var re, im []float64
+		for r := 0; r < 2*groupHalf; r++ {
+			rowRe, rowIm := benchPlanes(float64(r))
+			re, im = append(re, rowRe...), append(im, rowIm...)
+		}
+		twRe, twIm := benchPlanes(0.5)
+		twRe, twIm = twRe[:groupHalf], twIm[:groupHalf]
+		b.SetBytes(groupHalf * groupCW * 16 * 2)
+		for i := 0; i < b.N; i++ {
+			vek.ButterflyGroup(re, im, benchN, groupCW, twRe, twIm)
 		}
 	})
 

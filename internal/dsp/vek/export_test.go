@@ -4,10 +4,10 @@ package vek
 // bit-identity tests. On amd64 hosts with AVX2 the public kernels dispatch
 // to AVX2 assembly; these always run the Go path.
 var (
-	ButterflyColGeneric = butterflyColGeneric
-	ButterflyRowGeneric = butterflyRowGeneric
-	CMulGeneric         = cmulGeneric
-	AccIntensityGeneric = accIntensityGeneric
-	ConvRowGeneric      = convRowGeneric
-	ConvColGeneric      = convColGeneric
+	ButterflyGroupGeneric = butterflyGroupGeneric
+	ButterflyRowGeneric   = butterflyRowGeneric
+	CMulGeneric           = cmulGeneric
+	AccIntensityGeneric   = accIntensityGeneric
+	ConvRowGeneric        = convRowGeneric
+	ConvColGeneric        = convColGeneric
 )

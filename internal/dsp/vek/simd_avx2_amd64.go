@@ -7,14 +7,15 @@ package vek
 // GOAMD64=v1 runs them on any host that has AVX2 and the generic path
 // elsewhere. The assembly performs the identical per-lane IEEE-754
 // operation sequence as the generic path: VMULPD/VADDPD/VSUBPD only, no
-// VFMADD (the no-FMA contract), no cross-lane arithmetic. n must be a
-// multiple of 4; the Go wrappers run the remainder through the generic
+// VFMADD (the no-FMA contract), no cross-lane arithmetic. The lane count
+// (n, or cw for the butterfly group) must be a multiple of 4; the Go
+// wrappers run the remainder through the generic
 // loop, or, for the convolutions, one overlapping 4-wide block.
 var simdOn = CPU().AVX2
 
 //postopc:allocfree
 //go:noescape
-func butterflyColSIMD(loRe, loIm, hiRe, hiIm *float64, wr, wi float64, n int)
+func butterflyGroupSIMD(re, im, twRe, twIm *float64, stride, cw, half int)
 
 //postopc:allocfree
 //go:noescape

@@ -4,54 +4,75 @@
 // (see simd_avx2_amd64.go). Contract (see package doc): per-lane IEEE-754
 // operations identical to the generic Go path — VMULPD/VADDPD/VSUBPD only,
 // never VFMADD, never cross-lane arithmetic — so SIMD and generic planes
-// are bit-identical. Every function requires n to be a multiple of 4 (the
-// Go wrappers handle tails) and executes VZEROUPPER before returning per
-// the AVX calling convention.
+// are bit-identical. Every function requires its lane count to be a
+// multiple of 4 (the Go wrappers handle tails) and executes VZEROUPPER
+// before returning per the AVX calling convention.
 //
 // Go assembly operand order for VEX three-operand instructions is
 // reversed from Intel: `VSUBPD Ya, Yb, Yd` computes Yd = Yb - Ya.
 
 #include "textflag.h"
 
-// func butterflyColSIMD(loRe, loIm, hiRe, hiIm *float64, wr, wi float64, n int)
+// func butterflyGroupSIMD(re, im, twRe, twIm *float64, stride, cw, half int)
 //
-// Per lane: br = hr*wr - hi*wi; bi = hr*wi + hi*wr;
-//           lo' = a + b; hi' = a - b.
-TEXT ·butterflyColSIMD(SB), NOSPLIT, $0-56
-	MOVQ loRe+0(FP), DI
-	MOVQ loIm+8(FP), SI
-	MOVQ hiRe+16(FP), DX
-	MOVQ hiIm+24(FP), CX
-	VBROADCASTSD wr+32(FP), Y4
-	VBROADCASTSD wi+40(FP), Y5
-	MOVQ n+48(FP), BX
-	XORQ AX, AX
+// One butterfly group of a column block: for k in [0, half) the lo row
+// starts at re/im + k*stride, the hi row half*stride further on, and every
+// lane of the cw-wide block gets
+//   br = hr*wr - hi*wi; bi = hr*wi + hi*wr; lo' = a + b; hi' = a - b
+// with (wr, wi) = (twRe[k], twIm[k]) broadcast once per k.
+TEXT ·butterflyGroupSIMD(SB), NOSPLIT, $0-56
+	MOVQ  re+0(FP), DI
+	MOVQ  im+8(FP), SI
+	MOVQ  twRe+16(FP), R8
+	MOVQ  twIm+24(FP), R9
+	MOVQ  stride+32(FP), R10
+	SHLQ  $3, R10          // row stride in bytes
+	MOVQ  cw+40(FP), BX
+	MOVQ  half+48(FP), R11
+	MOVQ  R11, R12
+	IMULQ R10, R12         // lo -> hi row offset in bytes
+	XORQ  CX, CX           // k
 
-bcol_loop:
-	CMPQ AX, BX
-	JGE  bcol_done
-	VMOVUPD (DX)(AX*8), Y2 // hr
-	VMOVUPD (CX)(AX*8), Y3 // hi
-	VMULPD  Y4, Y2, Y6     // hr*wr
-	VMULPD  Y5, Y3, Y7     // hi*wi
-	VSUBPD  Y7, Y6, Y6     // br = hr*wr - hi*wi
-	VMULPD  Y5, Y2, Y7     // hr*wi
-	VMULPD  Y4, Y3, Y8     // hi*wr
-	VADDPD  Y8, Y7, Y7     // bi = hr*wi + hi*wr
-	VMOVUPD (DI)(AX*8), Y0 // ar
-	VMOVUPD (SI)(AX*8), Y1 // ai
-	VADDPD  Y6, Y0, Y9     // ar+br
-	VSUBPD  Y6, Y0, Y10    // ar-br
-	VADDPD  Y7, Y1, Y11    // ai+bi
-	VSUBPD  Y7, Y1, Y12    // ai-bi
+bgrp_row:
+	CMPQ         CX, R11
+	JGE          bgrp_done
+	VBROADCASTSD (R8)(CX*8), Y4 // wr
+	VBROADCASTSD (R9)(CX*8), Y5 // wi
+	LEAQ         (DI)(R12*1), DX // hi row, re
+	LEAQ         (SI)(R12*1), R13 // hi row, im
+	XORQ         AX, AX
+
+bgrp_lane:
+	CMPQ    AX, BX
+	JGE     bgrp_next
+	VMOVUPD (DX)(AX*8), Y2  // hr
+	VMOVUPD (R13)(AX*8), Y3 // hi
+	VMULPD  Y4, Y2, Y6      // hr*wr
+	VMULPD  Y5, Y3, Y7      // hi*wi
+	VSUBPD  Y7, Y6, Y6      // br = hr*wr - hi*wi
+	VMULPD  Y5, Y2, Y7      // hr*wi
+	VMULPD  Y4, Y3, Y8      // hi*wr
+	VADDPD  Y8, Y7, Y7      // bi = hr*wi + hi*wr
+	VMOVUPD (DI)(AX*8), Y0  // ar
+	VMOVUPD (SI)(AX*8), Y1  // ai
+	VADDPD  Y6, Y0, Y9      // ar+br
+	VSUBPD  Y6, Y0, Y10     // ar-br
+	VADDPD  Y7, Y1, Y11     // ai+bi
+	VSUBPD  Y7, Y1, Y12     // ai-bi
 	VMOVUPD Y9, (DI)(AX*8)
 	VMOVUPD Y11, (SI)(AX*8)
 	VMOVUPD Y10, (DX)(AX*8)
-	VMOVUPD Y12, (CX)(AX*8)
+	VMOVUPD Y12, (R13)(AX*8)
 	ADDQ    $4, AX
-	JMP     bcol_loop
+	JMP     bgrp_lane
 
-bcol_done:
+bgrp_next:
+	ADDQ R10, DI
+	ADDQ R10, SI
+	INCQ CX
+	JMP  bgrp_row
+
+bgrp_done:
 	VZEROUPPER
 	RET
 

@@ -9,7 +9,7 @@ package vek
 const simdOn = false
 
 //postopc:allocfree
-func butterflyColSIMD(loRe, loIm, hiRe, hiIm *float64, wr, wi float64, n int) {
+func butterflyGroupSIMD(re, im, twRe, twIm *float64, stride, cw, half int) {
 	panic("vek: SIMD kernel called without AVX2 kernels")
 }
 

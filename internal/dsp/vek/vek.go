@@ -1,5 +1,6 @@
 // Package vek implements the vector kernels of the imaging hot path: the
-// Abbe model's FFT butterflies, pointwise pupil-filter apply and scaled
+// Abbe model's FFT butterflies (one call per butterfly group of a column
+// block, one per span of a row), pointwise pupil-filter apply and scaled
 // intensity accumulate over structure-of-arrays (SoA) float64 planes —
 // separate real/imag planes instead of interleaved []complex128 — and the
 // row and column tap sums of the fast model's separable Gaussian blur
@@ -24,6 +25,12 @@
 // unrolling of the Go loops (six live slice streams spill; the
 // out-of-order core extracts the ILP from the simple loop on its own), so
 // they stay 1-wide and bounds-check-free via reslicing.
+//
+// A kernel call does as much work as one call can: ButterflyGroup runs
+// every butterfly of a (stage, start) group of a column block, looping
+// over them inside the assembly. Against one call per butterfly, with the
+// rest of the column pass unchanged, this cut the Abbe sign-off
+// benchmark's flow time by a tenth (DESIGN.md, "Twiddle-cached FFT").
 //
 // # Bit-identity contract
 //
@@ -95,44 +102,61 @@ func Zero(x []float64) {
 	}
 }
 
-// ButterflyCol executes one radix-2 butterfly with a single twiddle across
-// a span of independent columns — the inner loop of the blocked column
-// transform. For every lane i it performs exactly
+// ButterflyGroup executes one radix-2 butterfly group of the blocked
+// column transform: the half = len(twRe) butterflies of one (stage, start)
+// group, each across a block of cw independent columns. Row r of the group
+// starts at element r*stride of re/im; butterfly k pairs row k (lo) with
+// row k+half (hi) under the twiddle w = (twRe[k], twIm[k]), and for every
+// lane i < cw it performs exactly
 //
 //	a := lo[i]; b := hi[i] * w
 //	lo[i] = a + b; hi[i] = a - b
 //
 // in the complex128 operation order: br = hr*wr - hi*wi, bi = hr*wi + hi*wr.
-// All four planes must have len(loRe) elements.
+// The butterflies of one group touch disjoint rows, so running them in one
+// call, in any lane order, moves no bit. stride must be at least cw, re and
+// im must hold (2*half-1)*stride+cw elements, and twIm at least half.
 //
 //postopc:allocfree
-func ButterflyCol(loRe, loIm, hiRe, hiIm []float64, wr, wi float64) {
-	n := len(loRe)
-	loIm = loIm[:n]
-	hiRe = hiRe[:n]
-	hiIm = hiIm[:n]
-	if simdOn && n >= 4 {
-		m := n &^ 3
-		butterflyColSIMD(&loRe[0], &loIm[0], &hiRe[0], &hiIm[0], wr, wi, m)
-		loRe, loIm = loRe[m:], loIm[m:]
-		hiRe, hiIm = hiRe[m:], hiIm[m:]
+func ButterflyGroup(re, im []float64, stride, cw int, twRe, twIm []float64) {
+	half := len(twRe)
+	if half == 0 || cw <= 0 {
+		return
 	}
-	butterflyColGeneric(loRe, loIm, hiRe, hiIm, wr, wi)
+	n := (2*half-1)*stride + cw
+	re = re[:n]
+	im = im[:n]
+	twIm = twIm[:half]
+	if simdOn && cw >= 4 {
+		m := cw &^ 3
+		butterflyGroupSIMD(&re[0], &im[0], &twRe[0], &twIm[0], stride, m, half)
+		if m == cw {
+			return
+		}
+		re, im = re[m:], im[m:]
+		cw -= m
+	}
+	butterflyGroupGeneric(re, im, stride, cw, twRe, twIm)
 }
 
 //postopc:allocfree
-func butterflyColGeneric(loRe, loIm, hiRe, hiIm []float64, wr, wi float64) {
-	n := len(loRe)
-	loIm = loIm[:n]
-	hiRe = hiRe[:n]
-	hiIm = hiIm[:n]
-	for i := range loRe {
-		hr, him := hiRe[i], hiIm[i]
-		br := hr*wr - him*wi
-		bi := hr*wi + him*wr
-		ar, ai := loRe[i], loIm[i]
-		loRe[i], loIm[i] = ar+br, ai+bi
-		hiRe[i], hiIm[i] = ar-br, ai-bi
+func butterflyGroupGeneric(re, im []float64, stride, cw int, twRe, twIm []float64) {
+	half := len(twRe)
+	twIm = twIm[:half]
+	for k, wr := range twRe {
+		wi := twIm[k]
+		lo := k * stride
+		hi := lo + half*stride
+		loRe, loIm := re[lo:lo+cw], im[lo:lo+cw]
+		hiRe, hiIm := re[hi:hi+cw], im[hi:hi+cw]
+		for i := range loRe {
+			hr, him := hiRe[i], hiIm[i]
+			br := hr*wr - him*wi
+			bi := hr*wi + him*wr
+			ar, ai := loRe[i], loIm[i]
+			loRe[i], loIm[i] = ar+br, ai+bi
+			hiRe[i], hiIm[i] = ar-br, ai-bi
+		}
 	}
 }
 

@@ -106,29 +106,65 @@ func quickCfg() *quick.Config {
 	return &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
 }
 
-func TestButterflyColMatchesComplex(t *testing.T) {
-	prop := func(lo, hi cline, wre, wim int64) bool {
-		n := len(lo)
-		if len(hi) < n {
-			n = len(hi)
-		}
-		lo, hi = lo[:n], hi[:n]
-		r := rand.New(rand.NewSource(wre ^ wim))
-		w := complex(genValue(r), genValue(r))
+// groupShape is a butterfly group of the blocked column transform: half
+// butterflies across cw lanes, rows stride floats apart.
+type groupShape struct{ half, cw, stride int }
 
-		refLo := append([]complex128(nil), lo...)
-		refHi := append([]complex128(nil), hi...)
-		for c := range refLo { // the fftColumnsBlock inner loop, verbatim
-			a := refLo[c]
-			b := refHi[c] * w
-			refLo[c] = a + b
-			refHi[c] = a - b
-		}
+func (groupShape) Generate(r *rand.Rand, _ int) reflect.Value {
+	cw := r.Intn(20)
+	return reflect.ValueOf(groupShape{half: 1 << r.Intn(5), cw: cw, stride: cw + r.Intn(4)})
+}
 
-		loRe, loIm := split(lo)
-		hiRe, hiIm := split(hi)
-		vek.ButterflyCol(loRe, loIm, hiRe, hiIm, real(w), imag(w))
-		return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+// groupRows returns 2*half rows of edge-case complex values, the group's
+// layout as a complex128 column block would hold it.
+func groupRows(r *rand.Rand, g groupShape) [][]complex128 {
+	rows := make([][]complex128, 2*g.half)
+	for i := range rows {
+		rows[i] = make([]complex128, g.cw)
+		for c := range rows[i] {
+			rows[i][c] = complex(genValue(r), genValue(r))
+		}
+	}
+	return rows
+}
+
+// groupPlanes lays rows out as SoA planes, row i at element i*stride, with
+// padding lanes that the kernel must leave alone.
+func groupPlanes(rows [][]complex128, stride int) (re, im []float64) {
+	re = make([]float64, len(rows)*stride)
+	im = make([]float64, len(rows)*stride)
+	for i := range re {
+		re[i], im[i] = -7, 7
+	}
+	for i, row := range rows {
+		vek.Split(re[i*stride:], im[i*stride:], row)
+	}
+	return re, im
+}
+
+func TestButterflyGroupMatchesComplex(t *testing.T) {
+	prop := func(g groupShape, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows := groupRows(r, g)
+		tw := make([]complex128, g.half)
+		for k := range tw {
+			tw[k] = complex(genValue(r), genValue(r))
+		}
+		re, im := groupPlanes(rows, g.stride)
+		twRe, twIm := split(tw)
+
+		for k, w := range tw { // the fftColumnsBlock (stage, start) loop, verbatim
+			lo, hi := rows[k], rows[k+g.half]
+			for c := range lo {
+				a := lo[c]
+				b := hi[c] * w
+				lo[c] = a + b
+				hi[c] = a - b
+			}
+		}
+		vek.ButterflyGroup(re, im, g.stride, g.cw, twRe, twIm)
+		want, wantIm := groupPlanes(rows, g.stride)
+		return floatsEqual(re, want) && floatsEqual(im, wantIm)
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Error(err)
@@ -250,6 +286,26 @@ func TestScaleInvMatchesComplexDiv(t *testing.T) {
 func TestSIMDMatchesGeneric(t *testing.T) {
 	t.Logf("GOAMD64=%s: SIMDEnabled=%v", vek.BuildLevel(), vek.SIMDEnabled())
 	r := rand.New(rand.NewSource(7))
+	// The butterfly group at every block width up to 19 (4-lane SIMD
+	// blocks, generic tails, and both together) and every group size of a
+	// 64-point column transform.
+	const n = 64
+	for cw := 1; cw <= 19; cw++ {
+		for half := 1; half <= n/2; half *= 2 {
+			g := groupShape{half: half, cw: cw, stride: cw + r.Intn(4)}
+			re, im := groupPlanes(groupRows(r, g), g.stride)
+			twRe, twIm := make([]float64, half), make([]float64, half)
+			for k := range twRe {
+				twRe[k], twIm[k] = genValue(r), genValue(r)
+			}
+			gRe, gIm := append([]float64(nil), re...), append([]float64(nil), im...)
+			vek.ButterflyGroup(re, im, g.stride, cw, twRe, twIm)
+			vek.ButterflyGroupGeneric(gRe, gIm, g.stride, cw, twRe, twIm)
+			if !floatsEqual(re, gRe) || !floatsEqual(im, gIm) {
+				t.Fatalf("ButterflyGroup SIMD != generic (cw=%d half=%d stride=%d)", cw, half, g.stride)
+			}
+		}
+	}
 	for trial := 0; trial < 500; trial++ {
 		n := r.Intn(67)
 		mk := func() []float64 {
@@ -261,19 +317,11 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 		}
 		loRe, loIm, hiRe, hiIm := mk(), mk(), mk(), mk()
 		twRe, twIm := mk(), mk()
-		wr, wi, w := genValue(r), genValue(r), genValue(r)
+		w := genValue(r)
 
 		cp := func(p []float64) []float64 { return append([]float64(nil), p...) }
 
 		gLoRe, gLoIm, gHiRe, gHiIm := cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
-		vek.ButterflyCol(loRe, loIm, hiRe, hiIm, wr, wi)
-		vek.ButterflyColGeneric(gLoRe, gLoIm, gHiRe, gHiIm, wr, wi)
-		if !floatsEqual(loRe, gLoRe) || !floatsEqual(loIm, gLoIm) ||
-			!floatsEqual(hiRe, gHiRe) || !floatsEqual(hiIm, gHiIm) {
-			t.Fatalf("trial %d: ButterflyCol SIMD != generic (n=%d)", trial, n)
-		}
-
-		gLoRe, gLoIm, gHiRe, gHiIm = cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
 		vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
 		vek.ButterflyRowGeneric(gLoRe, gLoIm, gHiRe, gHiIm, twRe, twIm)
 		if !floatsEqual(loRe, gLoRe) || !floatsEqual(hiIm, gHiIm) {
@@ -326,7 +374,8 @@ func TestEmptyAndTinySpans(t *testing.T) {
 			xs[i] = complex(float64(i)+0.5, -float64(i))
 		}
 		re, im := split(xs)
-		vek.ButterflyCol(re, im, append([]float64(nil), re...), append([]float64(nil), im...), 0.6, -0.8)
+		gRe, gIm := append(append([]float64(nil), re...), re...), append(append([]float64(nil), im...), im...)
+		vek.ButterflyGroup(gRe, gIm, n, n, []float64{0.6}, []float64{-0.8})
 		vek.ScaleInv(re, im, 4)
 		vek.Zero(re)
 		acc := make([]float64, n)

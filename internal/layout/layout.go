@@ -215,6 +215,12 @@ func (ch *Chip) AddInstance(name string, cell *Cell, origin geom.Point, o Orient
 	return in
 }
 
+// maxIndexBins bounds the spatial index of one chip. Placed designs need a
+// few hundred bins; the bound only coarsens the index of a die so large (a
+// corrupt or hand-edited .plf) that its bins would not fit in memory.
+// Coarser bins change what a query costs, never what it returns.
+const maxIndexBins = 1 << 16
+
 // BuildIndex (re)builds the spatial index; it is also built lazily by
 // WindowShapes. Call it explicitly after bulk placement for determinism in
 // benchmarks.
@@ -222,6 +228,13 @@ func (ch *Chip) BuildIndex() {
 	cellPitch := ch.Die.W() / 32
 	if cellPitch < 1000 {
 		cellPitch = 1000
+	}
+	for {
+		nx, ny := ch.Die.W()/cellPitch+1, ch.Die.H()/cellPitch+1
+		if nx <= maxIndexBins && ny <= maxIndexBins && nx*ny <= maxIndexBins {
+			break
+		}
+		cellPitch *= 2
 	}
 	idx := geom.NewIndex[*Instance](ch.Die, cellPitch)
 	for i := range ch.Instances {

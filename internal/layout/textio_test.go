@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -116,6 +117,28 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted: %q", i, src)
 		}
+	}
+}
+
+// TestReadHugeDieBoundsIndex reads a chip whose die is far larger than any
+// placement: its spatial index must stay within maxIndexBins instead of
+// asking for one bin per micrometre of die (10^12 bins here), and queries
+// must still work.
+func TestReadHugeDieBoundsIndex(t *testing.T) {
+	src := "cell C box 0 0 680 2600\n  rect poly 295 290 385 2310\nendcell\n" +
+		"chip c die 0 0 1000 999999999999999\n  inst u1 C 0 0 R0\nendchip\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := Read(strings.NewReader(src))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("reading one instance allocated %d bytes", got)
+	}
+	if got := f.Chip.WindowShapes(LayerPoly, geom.R(0, 0, 680, 2600)); len(got) != 1 {
+		t.Fatalf("window query found %d poly shapes, want 1", len(got))
 	}
 }
 

@@ -83,9 +83,7 @@ func (a *Abbe) aerialOne(mask *geom.Raster, c Corner) (*Image, error) {
 	if err := t.FFT2DBandSelect(fs.unionRows); err != nil {
 		return nil, err
 	}
-	ks := borrowKernelScratch()
-	defer ks.release()
-	return a.aerialFiltered(t, mask, fs, bg, ks)
+	return a.aerialFiltered(t, mask, fs, bg)
 }
 
 // backgroundLevel is the transmission of the unpatterned field for the
@@ -162,10 +160,7 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 	if err := t.FFT2DBandSelect(spectrumRows); err != nil {
 		return nil, err
 	}
-
-	ks := borrowKernelScratch()
-	defer ks.release()
-	return a.imageCorners(t, mask, corners, sets, bg, ks)
+	return a.imageCorners(t, mask, corners, sets, bg)
 }
 
 // resolveSets fetches the filter set of every unique corner defocus up
@@ -195,7 +190,7 @@ func (a *Abbe) resolveSets(nx, ny int, px float64, corners []Corner) (sets []*fi
 // imageCorners runs the filtered source sum of every corner over the
 // band-selected spectrum t, aliasing duplicate-defocus corners to the
 // earlier corner's image per the AerialSeries contract.
-func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, sets []*filterSet, bg float64, ks *kernelScratch) ([]*Image, error) {
+func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, sets []*filterSet, bg float64) ([]*Image, error) {
 	order := make([]*Image, len(corners))
 	for ci, c := range corners {
 		if sets[ci] == nil { // duplicate defocus: alias the earlier image
@@ -207,7 +202,7 @@ func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, s
 			}
 			continue
 		}
-		im, err := a.aerialFiltered(t, mask, sets[ci], bg, ks)
+		im, err := a.aerialFiltered(t, mask, sets[ci], bg)
 		if err != nil {
 			return nil, err
 		}
@@ -220,37 +215,48 @@ func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, s
 // spectrum is the band-selected FFT of the transmission planes and must not
 // be modified. The whole loop runs on the vek kernel layer: a CMul per
 // support row (work = spectrum × P(f + fs)), the band-limited inverse
-// transform, and an AccIntensity over the grid — each performing per
+// transform, and an AccIntensity per image row — each performing per
 // element the exact float sequence of the complex128 loop it replaced.
-func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filterSet, bg float64, ks *kernelScratch) (*Image, error) {
+//
+// Only the image's own pixels are computed: the inverse keeps columns
+// [0, cols), mask.Nx rounded up to whole 4-lane vectors, of rows
+// [0, mask.Ny), and each kept row accumulates straight into the returned
+// image. The inverse requires +0 in the kept columns of every non-support
+// row, so those are zeroed for each source point; the columns beyond cols
+// are never read.
+func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filterSet, bg float64) (*Image, error) {
 	nx, ny := spectrum.Nx, spectrum.Ny
-	ks.acc = growFloats(ks.acc, nx*ny)
-	acc := ks.acc
-	vek.Zero(acc)
+	cols := min((mask.Nx+3)&^3, nx)
+	out := NewImage(mask)
+	out.Background = bg
 	work := dsp.BorrowFGrid(nx, ny)
 	defer dsp.ReturnFGrid(work)
 	for pi := range fs.points {
 		pf := &fs.points[pi]
-		// work = spectrum × P(f + fs), nonzero only on the support rows.
-		work.Clear()
-		for ri, iy := range pf.rows {
-			o := ri * nx
+		// work = spectrum × P(f + fs) on the support rows (ascending), +0
+		// in the kept columns of every other row.
+		next := 0
+		for iy := 0; iy < ny; iy++ {
 			s := iy * nx
-			vek.CMul(
-				work.Re[s:s+nx], work.Im[s:s+nx],
-				spectrum.Re[s:s+nx], spectrum.Im[s:s+nx],
-				pf.valsRe[o:o+nx], pf.valsIm[o:o+nx])
+			if next < len(pf.rows) && pf.rows[next] == iy {
+				o := next * nx
+				vek.CMul(
+					work.Re[s:s+nx], work.Im[s:s+nx],
+					spectrum.Re[s:s+nx], spectrum.Im[s:s+nx],
+					pf.valsRe[o:o+nx], pf.valsIm[o:o+nx])
+				next++
+				continue
+			}
+			vek.Zero(work.Re[s : s+cols])
+			vek.Zero(work.Im[s : s+cols])
 		}
-		if err := work.IFFT2DBandLimited(pf.rows); err != nil {
+		if err := work.IFFT2DBandLimited(pf.rows, cols, mask.Ny); err != nil {
 			return nil, err
 		}
-		vek.AccIntensity(acc, work.Re, work.Im, pf.weight)
-	}
-
-	out := NewImage(mask)
-	out.Background = bg
-	for iy := 0; iy < mask.Ny; iy++ {
-		copy(out.Data[iy*mask.Nx:(iy+1)*mask.Nx], acc[iy*nx:iy*nx+mask.Nx])
+		for iy := 0; iy < mask.Ny; iy++ {
+			s := iy * nx
+			vek.AccIntensity(out.Data[iy*mask.Nx:(iy+1)*mask.Nx], work.Re[s:s+mask.Nx], work.Im[s:s+mask.Nx], pf.weight)
+		}
 	}
 	return out, nil
 }

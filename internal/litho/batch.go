@@ -53,8 +53,8 @@ func groupByGeometry(masks []*geom.Raster) []batchGroup {
 // geometry; each group resolves its filter sets once, rasterizes its
 // transmission grids, runs one batched band-selected forward transform
 // (bit-identical per grid to the single-grid path, see dsp.BatchPlan), and
-// images every member through one shared kernel scratch. Latency is
-// observed once per batch on the model's aerial histogram.
+// images every member. Latency is observed once per batch on the model's
+// aerial histogram.
 func (a *Abbe) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, error) {
 	if len(masks) == 0 {
 		return nil, nil
@@ -67,9 +67,6 @@ func (a *Abbe) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, 
 		}
 	}
 	out := make([][]*Image, len(masks))
-	ks := borrowKernelScratch()
-	defer ks.release()
-
 	bg := a.backgroundLevel()
 	for _, g := range groupByGeometry(masks) {
 		bp, err := dsp.PlanBatch(g.nx, g.ny)
@@ -84,7 +81,7 @@ func (a *Abbe) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Image, 
 		err = bp.FFT2DBandSelectAllPlanes(grids, rows)
 		if err == nil {
 			for k, mi := range g.idx {
-				imgs, ierr := a.imageCorners(grids[k], masks[mi], corners, sets, bg, ks)
+				imgs, ierr := a.imageCorners(grids[k], masks[mi], corners, sets, bg)
 				if ierr != nil {
 					err = ierr
 					break

@@ -1,6 +1,7 @@
 package litho
 
 import (
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -70,6 +71,36 @@ func BenchmarkAbbeAerialDefocus(b *testing.B) {
 		if _, err := m.AerialSeries(mask, corners); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// windowCorners are flow.VariationCorners at the PDK's process window
+// (±120 nm defocus, ±5% dose): nominal, max defocus and the two dose
+// extremes. The dose corners alias the nominal image, so a series images
+// two defocus values.
+var windowCorners = []Corner{Nominal, {DefocusNM: 120, Dose: 1}, {Dose: 0.95}, {Dose: 1.05}}
+
+// BenchmarkAbbeAerialWindow images the two gate-window-shaped golden masks
+// through AerialSeries at the four variation corners, as the sign-off flow
+// does for each tagged gate. 211×324 px pads to 256×512 and 289×324 px to
+// 512×512, so the crop of the inverse transform shows here and not on the
+// exactly 256×256 grating.
+func BenchmarkAbbeAerialWindow(b *testing.B) {
+	for _, nx := range []int{211, 289} {
+		mask := windowMask(nx)
+		b.Run(fmt.Sprintf("%dx%d", mask.Nx, mask.Ny), func(b *testing.B) {
+			m := benchAbbe(b)
+			if _, err := m.AerialSeries(mask, windowCorners); err != nil { // build the filter sets
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.AerialSeries(mask, windowCorners); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

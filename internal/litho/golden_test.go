@@ -41,34 +41,65 @@ func goldenAerialSHA256(im *Image) string {
 }
 
 // TestAbbeAerialGoldenSHA locks the nominal and defocused Abbe images of
-// the fixed 256×256 grating window to their recorded hashes. The defocused
-// corner exercises the unfolded full source sum and the complex pupil
-// phases; nominal exercises Hermitian folding. Together they cover every
-// vek kernel: transmission fill, forward band-selected butterflies, the
-// filter apply, the inverse band-limited butterflies with their 1/N
+// three masks to their recorded hashes. The 256×256 grating pads to
+// nothing; the two gate-window shapes pad to 256×512 and 512×512, so the
+// band-limited inverse keeps only part of the columns and rows it
+// transforms, and a crop that kept the wrong ones changes a hash. The
+// defocused corner exercises the unfolded full source sum and the complex
+// pupil phases; nominal exercises Hermitian folding. Together they cover
+// every vek kernel: transmission fill, forward band-selected butterflies,
+// the filter apply, the inverse band-limited butterflies with their 1/N
 // scaling, and the intensity accumulate.
 func TestAbbeAerialGoldenSHA(t *testing.T) {
 	golden := map[string]string{
-		"nominal":    "c7d23219c1727153264c63589ed8da02f118e5143339dde5992efd6bc6f98829",
-		"defocus120": "db29a873f1b6e4d818dd2221ec2f6401b239ca668b952e3d8ccf7d014b90b0b3",
+		"grating256/nominal":    "c7d23219c1727153264c63589ed8da02f118e5143339dde5992efd6bc6f98829",
+		"grating256/defocus120": "db29a873f1b6e4d818dd2221ec2f6401b239ca668b952e3d8ccf7d014b90b0b3",
+		"window211/nominal":     "82e113a3c9ba53f1aef029547f4c05cb9f369156c55b8f1b8d963fb4c06b5527",
+		"window211/defocus120":  "6f6e791e44b6248e167a74e94ec66b68433ff94a99590b8df70e36b93e76a296",
+		"window289/nominal":     "8f25361b4f7d34f4a6f387ed36048aca427084987d856e4073052254b6e372d1",
+		"window289/defocus120":  "e651253ed0cc2bf1848d987fb5b0ea3bad20d5c0d7f6b6497f507ed374c4d4e0",
 	}
 	m := newAbbeT(t)
-	mask := benchMask256()
-	for name, c := range map[string]Corner{
-		"nominal":    Nominal,
-		"defocus120": {DefocusNM: 120, Dose: 1},
-	} {
-		im, err := m.Aerial(mask, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := goldenAerialSHA256(im)
-		if want := golden[name]; got != want {
-			t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
-				"(a mismatch means a kernel changed its floating-point op sequence;"+
-				" see the bit-identity contract in DESIGN.md)", name, got, want)
+	masks := map[string]*geom.Raster{
+		"grating256": benchMask256(),
+		"window211":  windowMask(211),
+		"window289":  windowMask(289),
+	}
+	for maskName, mask := range masks {
+		for cName, c := range map[string]Corner{
+			"nominal":    Nominal,
+			"defocus120": {DefocusNM: 120, Dose: 1},
+		} {
+			name := maskName + "/" + cName
+			im, err := m.Aerial(mask, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenAerialSHA256(im)
+			if want := golden[name]; got != want {
+				t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
+					"(a mismatch means a kernel changed its floating-point op sequence;"+
+					" see the bit-identity contract in DESIGN.md)", name, got, want)
+			}
 		}
 	}
+}
+
+// windowMask is a gate-window-shaped mask, nx×324 px at 10 nm: a vertical
+// grating with an off-centre horizontal bar and contact. Production
+// windows are 157–327 × 324 px, so they pad to 256×512 (nx <= 256) or
+// 512×512 and the kept image is a corner of the padded grid.
+func windowMask(nx int) *geom.Raster {
+	w := geom.Coord(nx) * 10
+	ra := geom.NewRaster(geom.R(-w/2, -1620, w-w/2, 1620), 10)
+	la := LineArray{WidthNM: 90, PitchNM: 250, Count: nx / 30, LengthNM: 2400}
+	for _, r := range la.Rects() {
+		ra.AddRect(r)
+	}
+	ra.AddRect(geom.R(-w/2+100, 1300, w/2-300, 1420))
+	ra.AddRect(geom.R(230, -1400, 355, -1260))
+	ra.Clamp()
+	return ra
 }
 
 // tallMask251 is a strip-window-shaped mask, 251×753 px: its width is not

@@ -9,11 +9,11 @@ import (
 )
 
 // Scratch pooling for the imaging kernels. A single window simulation
-// needs several full-size float work buffers (intensity accumulator,
-// convolution planes and pad rows); full-chip runs
-// simulate thousands of equally-sized windows from concurrent workers, so
-// the buffers are recycled through sync.Pools and steady-state simulation
-// allocates only the returned *Image.
+// needs several full-size float work buffers (the fast model's convolution
+// planes and pad rows; the Abbe model borrows its plane grids from dsp);
+// full-chip runs simulate thousands of equally-sized windows from
+// concurrent workers, so the buffers are recycled through sync.Pools and
+// steady-state simulation allocates only the returned *Image.
 //
 // Lifetime rules: a kernelScratch (and every slice grown from it) is owned
 // by exactly one Aerial/AerialSeries call between borrow and release, and
@@ -63,9 +63,8 @@ func poolReturned() {
 	}
 }
 
-// kernelScratch carries the per-call work buffers of both kernels.
+// kernelScratch carries the per-call work buffers of the Gaussian kernel.
 type kernelScratch struct {
-	acc   []float64 // Abbe: weighted intensity accumulator (padded grid)
 	field []float64 // Gaussian: convolved amplitude field (narrow kernel)
 	tmp   []float64 // Gaussian: horizontal-pass plane with background rows
 	pad   []float64 // Gaussian: background-padded amplitude row

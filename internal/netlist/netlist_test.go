@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -170,12 +171,71 @@ func TestParseVerilogErrors(t *testing.T) {
 		"module m (); INV_X1 u0 (.A x); endmodule",
 		"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
 		"module m (); INV_X1 u0 (.A(x), .Y(y));", // missing endmodule
+		// Punctuation is never a name.
+		"module m (a); input ); endmodule",
+		"module ( (a); endmodule",
+		"module m (;); endmodule",
+		"module m (); wire ,; endmodule",
+		"module m (); ( u0 (.A(x)); endmodule",
+		"module m (); INV_X1 ; (.A(x)); endmodule",
+		"module m (); INV_X1 u0 (.((x)); endmodule",
+		"module m (); INV_X1 u0 (.A(,)); endmodule",
 	}
 	for i, src := range cases {
 		if _, err := ParseVerilog(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d: expected parse error", i)
+			t.Errorf("case %d: expected parse error: %q", i, src)
 		}
 	}
+
+	dup := "module m (a, y); input a; output y; wire n;\n" +
+		"INV_X1 u1 (.A(a), .Y(n)); INV_X1 u1 (.A(n), .Y(y)); endmodule"
+	if _, err := ParseVerilog(strings.NewReader(dup)); !errors.Is(err, ErrDuplicateInstance) {
+		t.Errorf("repeated instance name: err = %v, want ErrDuplicateInstance", err)
+	}
+}
+
+// FuzzParseVerilog fuzzes the netlist reader. Arbitrary text must never
+// panic it, and whatever it accepts must write back stably: write, parse
+// the written text, and write again must give the same bytes.
+func FuzzParseVerilog(f *testing.F) {
+	// The designs the examples build, and the parser tests' inputs.
+	for _, n := range []*Netlist{InverterChain(6), RippleCarryAdder(2), ArrayMultiplier(2)} {
+		var buf bytes.Buffer
+		if err := WriteVerilog(&buf, n); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	for _, src := range []string{
+		"// a comment\nmodule top (a, y); // trailing\n  input a;\n  output y;\n  INV_X1 u0 (.A(a), .Y(y));\nendmodule\n",
+		"module m (a); input a gibberish",
+		"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
+		"module m (a); input ); endmodule",
+		"module m (); INV_X1 u1 (.A(a)); INV_X1 u1 (.A(b)); endmodule",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		n, err := ParseVerilog(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteVerilog(&first, n); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseVerilog(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written netlist does not parse: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := WriteVerilog(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write is not stable:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestConnectivityErrors(t *testing.T) {

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -64,9 +65,16 @@ func WriteVerilog(w io.Writer, n *Netlist) error {
 	return bw.Flush()
 }
 
+// ErrDuplicateInstance is returned (wrapped) by ParseVerilog when two cell
+// instances of the module share a name: STA and extraction address gates
+// by instance name, so a repeat would silently shadow the earlier gate.
+var ErrDuplicateInstance = errors.New("netlist: duplicate instance name")
+
 // ParseVerilog reads the structural subset produced by WriteVerilog. It is
 // not a general Verilog parser: one module per file, explicit pin
-// connections, no expressions, no buses.
+// connections, no expressions, no buses. Every name — module, port, net,
+// cell, instance and pin — must be an identifier token, and instance names
+// must be unique (ErrDuplicateInstance).
 func ParseVerilog(r io.Reader) (*Netlist, error) {
 	toks, err := tokenize(r)
 	if err != nil {
@@ -101,19 +109,34 @@ func (p *vparser) expect(t string) error {
 	return nil
 }
 
+// name consumes one identifier token naming a what. Punctuation and the
+// end of input are not names: accepting them would parse text that
+// WriteVerilog cannot write back.
+func (p *vparser) name(what string) (string, error) {
+	t := p.next()
+	if t == "" || (len(t) == 1 && strings.Contains(punctuation, t)) {
+		return "", fmt.Errorf("netlist: expected %s name, got %q (token %d)", what, t, p.pos-1)
+	}
+	return t, nil
+}
+
 func (p *vparser) module() (*Netlist, error) {
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
-	n := &Netlist{Name: p.next()}
-	if n.Name == "" {
-		return nil, fmt.Errorf("netlist: missing module name")
+	name, err := p.name("module")
+	if err != nil {
+		return nil, err
 	}
+	n := &Netlist{Name: name}
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	for p.peek() != ")" && p.peek() != "" {
-		p.next() // port list is re-derived from input/output declarations
+		// The port list is re-derived from the input/output declarations.
+		if _, err := p.name("port"); err != nil {
+			return nil, err
+		}
 		if p.peek() == "," {
 			p.next()
 		}
@@ -124,6 +147,7 @@ func (p *vparser) module() (*Netlist, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
+	instances := map[string]bool{}
 	for {
 		switch t := p.peek(); t {
 		case "endmodule":
@@ -134,9 +158,9 @@ func (p *vparser) module() (*Netlist, error) {
 		case "input", "output", "wire":
 			p.next()
 			for {
-				name := p.next()
-				if name == "" || name == ";" {
-					return nil, fmt.Errorf("netlist: bad %s declaration", t)
+				name, err := p.name(t)
+				if err != nil {
+					return nil, err
 				}
 				switch t {
 				case "input":
@@ -152,11 +176,18 @@ func (p *vparser) module() (*Netlist, error) {
 			}
 		default:
 			// Cell instantiation: CELL name (.PIN(net), ...);
-			cell := p.next()
-			inst := p.next()
-			if inst == "" {
-				return nil, fmt.Errorf("netlist: missing instance name for cell %s", cell)
+			cell, err := p.name("cell")
+			if err != nil {
+				return nil, err
 			}
+			inst, err := p.name("instance")
+			if err != nil {
+				return nil, err
+			}
+			if instances[inst] {
+				return nil, fmt.Errorf("%w %s in module %s", ErrDuplicateInstance, inst, n.Name)
+			}
+			instances[inst] = true
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
@@ -165,11 +196,17 @@ func (p *vparser) module() (*Netlist, error) {
 				if err := p.expect("."); err != nil {
 					return nil, err
 				}
-				pin := p.next()
+				pin, err := p.name("pin")
+				if err != nil {
+					return nil, err
+				}
 				if err := p.expect("("); err != nil {
 					return nil, err
 				}
-				net := p.next()
+				net, err := p.name("net")
+				if err != nil {
+					return nil, err
+				}
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
@@ -189,6 +226,10 @@ func (p *vparser) module() (*Netlist, error) {
 		}
 	}
 }
+
+// punctuation lists the single-character tokens of the subset; every other
+// token is an identifier.
+const punctuation = "(),;."
 
 // tokenize splits the input into identifiers and punctuation, dropping //
 // comments.
@@ -214,7 +255,7 @@ func tokenize(r io.Reader) ([]string, error) {
 				cur.WriteRune(c)
 			case unicode.IsSpace(c):
 				flush()
-			case strings.ContainsRune("(),;.", c):
+			case strings.ContainsRune(punctuation, c):
 				flush()
 				toks = append(toks, string(c))
 			default:

@@ -32,13 +32,15 @@ import (
 // nil, from a different graph, differing boundary conditions, or when
 // either annotation set carries the "*" blanket default (which touches
 // every gate) — AnalyzeIncremental falls back to a full Analyze and counts
-// the fallback in "sta.incremental_fallbacks_total" (incrementalOK names
-// the reason). Telemetry: "sta.incremental_analyses_total",
+// the fallback in "sta.incremental_fallbacks_total" and in the counter of
+// its reason, "sta.incremental_fallbacks_<reason>_total" (see
+// fallbackReasonNames). Telemetry: "sta.incremental_analyses_total",
 // "sta.incremental_gate_evals" (candidates re-evaluated) and
 // "sta.incremental_cone_gates" (arrivals recomputed).
 func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*Result, error) {
-	if g.incrementalOK(cfg, ann, base) != "" {
+	if r := g.incrementalOK(cfg, ann, base); r != baselineOK {
 		g.cFallbacks.Inc()
+		g.cFallbackBy[r].Inc()
 		return g.Analyze(cfg, ann)
 	}
 	tA := g.hAnalyze.StartTimer()
@@ -163,20 +165,36 @@ func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*
 	return res, nil
 }
 
-// Reasons incrementalOK gives for refusing a baseline.
+// fallbackReason is incrementalOK's verdict on a baseline: baselineOK, or
+// the reason AnalyzeIncremental must fall back to a full Analyze.
+type fallbackReason int
+
 const (
-	refuseNilBaseline  = "nil baseline"
-	refuseForeignGraph = "baseline from a different graph"
-	refuseBlanket      = `blanket "*" annotation`
-	refuseInputSlew    = "InputSlewPS differs"
-	refusePrimaryLoad  = "PrimaryLoadFF differs"
-	refuseWireLoads    = "WireLoads differ"
+	baselineOK         fallbackReason = iota
+	refuseNilBaseline                 // no baseline
+	refuseForeignGraph                // baseline from a different graph
+	refuseBlanket                     // a blanket "*" annotation
+	refuseInputSlew                   // InputSlewPS differs
+	refusePrimaryLoad                 // PrimaryLoadFF differs
+	refuseWireLoads                   // WireLoads differ
+	numFallbackReasons
 )
 
-// incrementalOK returns "" when the baseline can seed an incremental
-// re-analysis under the new config and annotations, and the reason it
-// cannot otherwise.
-func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) string {
+// fallbackReasonNames name each reason's counter,
+// "sta.incremental_fallbacks_<name>_total".
+var fallbackReasonNames = [numFallbackReasons]string{
+	refuseNilBaseline:  "nil_baseline",
+	refuseForeignGraph: "foreign_graph",
+	refuseBlanket:      "blanket",
+	refuseInputSlew:    "input_slew",
+	refusePrimaryLoad:  "primary_load",
+	refuseWireLoads:    "wire_loads",
+}
+
+// incrementalOK returns baselineOK when the baseline can seed an
+// incremental re-analysis under the new config and annotations, and the
+// reason it cannot otherwise.
+func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) fallbackReason {
 	if base == nil {
 		return refuseNilBaseline
 	}
@@ -198,7 +216,7 @@ func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) string 
 	case !wireLoadsEqual(cfg.WireLoads, base.cfg.WireLoads):
 		return refuseWireLoads
 	}
-	return ""
+	return baselineOK
 }
 
 func (g *Graph) anyInputDirty(gi int, dirtyNet []bool) bool {

@@ -195,14 +195,20 @@ func TestIncrementalSharesCleanArrivals(t *testing.T) {
 // TestIncrementalFallsBackToFull covers the baselines an incremental
 // analysis must refuse: wrong boundary conditions, blanket annotations, nil
 // or foreign baselines. Each refusal names its reason and moves
-// "sta.incremental_fallbacks_total", and the result must still be
-// byte-identical to a full Analyze.
+// "sta.incremental_fallbacks_total" and its own reason's counter, no
+// other, and the result must still be byte-identical to a full Analyze.
 func TestIncrementalFallsBackToFull(t *testing.T) {
 	n := netlist.RippleCarryAdder(4)
 	g := buildGraph(t, n)
 	sink := obs.NewSink()
 	g.Instrument(sink)
 	fallbacks := sink.Counter("sta.incremental_fallbacks_total")
+	byReason := func() (vals [numFallbackReasons]uint64) {
+		for r := baselineOK + 1; r < numFallbackReasons; r++ {
+			vals[r] = sink.Counter("sta.incremental_fallbacks_" + fallbackReasonNames[r] + "_total").Value()
+		}
+		return vals
+	}
 	cfg := DefaultConfig(2500)
 	base, err := g.Analyze(cfg, nil)
 	if err != nil {
@@ -219,7 +225,7 @@ func TestIncrementalFallsBackToFull(t *testing.T) {
 		cfg    Config
 		ann    Annotations
 		base   *Result
-		reason string // incrementalOK expectation; "" = incremental
+		reason fallbackReason // incrementalOK expectation
 	}{
 		{"nil baseline", cfg, ann, nil, refuseNilBaseline},
 		{"foreign graph", cfg, ann, foreign, refuseForeignGraph},
@@ -227,29 +233,39 @@ func TestIncrementalFallsBackToFull(t *testing.T) {
 		{"slew changed", func() Config { c := cfg; c.InputSlewPS = cfg.InputSlewPS * 2; return c }(), ann, base, refuseInputSlew},
 		{"load changed", func() Config { c := cfg; c.PrimaryLoadFF += 1; return c }(), ann, base, refusePrimaryLoad},
 		{"wire loads added", func() Config { c := cfg; c.WireLoads = map[string]float64{"s0": 0.5}; return c }(), ann, base, refuseWireLoads},
-		{"clock changed is fine", func() Config { c := cfg; c.ClockPS = 9000; return c }(), ann, base, ""},
-		{"kpaths changed is fine", func() Config { c := cfg; c.KPaths = 2; return c }(), ann, base, ""},
+		{"clock changed is fine", func() Config { c := cfg; c.ClockPS = 9000; return c }(), ann, base, baselineOK},
+		{"kpaths changed is fine", func() Config { c := cfg; c.KPaths = 2; return c }(), ann, base, baselineOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := g.incrementalOK(tc.cfg, tc.ann, tc.base); got != tc.reason {
-				t.Fatalf("incrementalOK = %q, want %q", got, tc.reason)
+				t.Fatalf("incrementalOK = %d, want %d", got, tc.reason)
 			}
 			full, err := g.Analyze(tc.cfg, tc.ann)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := fallbacks.Value()
+			before, beforeBy := fallbacks.Value(), byReason()
 			incr, err := g.AnalyzeIncremental(tc.cfg, tc.ann, tc.base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := uint64(0)
-			if tc.reason != "" {
+			if tc.reason != baselineOK {
 				want = 1
 			}
 			if got := fallbacks.Value() - before; got != want {
 				t.Fatalf("fallback counter moved by %d, want %d", got, want)
+			}
+			afterBy := byReason()
+			for r := baselineOK + 1; r < numFallbackReasons; r++ {
+				want := uint64(0)
+				if r == tc.reason {
+					want = 1
+				}
+				if got := afterBy[r] - beforeBy[r]; got != want {
+					t.Fatalf("%s fallback counter moved by %d, want %d", fallbackReasonNames[r], got, want)
+				}
 			}
 			requireResultsIdentical(t, tc.name, full, incr)
 		})

@@ -80,11 +80,14 @@ type Graph struct {
 	cIncr      *obs.Counter
 	cFallbacks *obs.Counter
 	cCorners   *obs.Counter
-	hAnalyze   *obs.Histogram
-	hArrival   *obs.Histogram
-	hFullEvals *obs.Histogram
-	hIncrEvals *obs.Histogram
-	hConeGates *obs.Histogram
+	// cFallbackBy counts fallbacks per reason; the baselineOK slot stays
+	// nil.
+	cFallbackBy [numFallbackReasons]*obs.Counter
+	hAnalyze    *obs.Histogram
+	hArrival    *obs.Histogram
+	hFullEvals  *obs.Histogram
+	hIncrEvals  *obs.Histogram
+	hConeGates  *obs.Histogram
 }
 
 // Instrument attaches telemetry to the graph: an analyses counter
@@ -92,7 +95,8 @@ type Graph struct {
 // arrival-propagation inner phase ("sta.arrival_propagation_ns"), the
 // multi-corner counters ("sta.corners_total",
 // "sta.incremental_analyses_total", and "sta.incremental_fallbacks_total"
-// for incremental requests answered by a full Analyze) and the
+// for incremental requests answered by a full Analyze, split by reason
+// into "sta.incremental_fallbacks_<reason>_total") and the
 // full-vs-incremental gate-eval histograms ("sta.full_gate_evals",
 // "sta.incremental_gate_evals", "sta.incremental_cone_gates"). Call before
 // the graph is shared between workers (Monte Carlo and MultiCorner run
@@ -101,6 +105,9 @@ func (g *Graph) Instrument(sink *obs.Sink) {
 	g.cAnalyses = sink.Counter("sta.analyses_total")
 	g.cIncr = sink.Counter("sta.incremental_analyses_total")
 	g.cFallbacks = sink.Counter("sta.incremental_fallbacks_total")
+	for r := baselineOK + 1; r < numFallbackReasons; r++ {
+		g.cFallbackBy[r] = sink.Counter("sta.incremental_fallbacks_" + fallbackReasonNames[r] + "_total")
+	}
 	g.cCorners = sink.Counter("sta.corners_total")
 	g.hAnalyze = sink.LatencyHistogram("sta.analyze_ns")
 	g.hArrival = sink.LatencyHistogram("sta.arrival_propagation_ns")
