@@ -30,11 +30,14 @@ test:
 # Explicit timeout: the flow suite alone runs ~9-10 min under the
 # detector, right at go test's 600s per-binary default. The second line
 # repeats the timing library and STA suites (well under a second each
-# without the detector) to shake out races on the per-cell input
-# capacitances that every Eval of a cell shares.
+# without the detector) to shake out races on the per-cell views (input
+# capacitances, drawn-length Eval) that every caller shares and on the
+# per-worker Monte Carlo state; the third repeats the flow's Monte Carlo
+# and multi-corner tests, which drive that state from the flow side.
 race:
 	$(GO) test -race -timeout 1800s ./...
 	$(GO) test -race -count=10 ./internal/timinglib/ ./internal/sta/
+	$(GO) test -race -count=3 -run 'MonteCarlo|MultiCorner' ./internal/flow/
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	loadFF := evDrawn.CinFF["A"] + kit.Device.CWireFF
+	loadFF := f.TL.Cin(inv)["A"] + kit.Device.CWireFF
 
 	// stageDelay averages rise and fall propagation through one inverter.
 	stageDelay := func(ev timinglib.Eval, slew float64) float64 {

@@ -1,5 +1,6 @@
 // Package parcapture defines an analyzer for closures handed to
-// par.ForEach, the bounded worker pool every hot loop runs on.
+// par.ForEach and par.ForEachWorker, the bounded worker pool every hot
+// loop runs on.
 //
 // The pool's determinism contract is that workers communicate only through
 // index-disjoint slots: fn(i) may write exts[i] but nothing shared. Two
@@ -9,12 +10,20 @@
 // parameter (workers overwrite each other's slots). Both are purely
 // syntactic properties of the closure, so they are enforced here instead
 // of in the occasional -race run.
+//
+// A ForEachWorker closure, fn(w, i), may index by either parameter: one
+// goroutine owns each worker slot w for the whole run, so per-slot state
+// such as state[w] is as disjoint as out[i].
+//
+// Only function literals are checked. A method value passed as the work
+// function, such as r.batch in internal/flow/batch.go, stays unchecked.
 package parcapture
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"postopc/internal/analysis"
 )
@@ -22,12 +31,14 @@ import (
 // Analyzer is the parcapture check.
 var Analyzer = &analysis.Analyzer{
 	Name: "parcapture",
-	Doc: "flag par.ForEach closures that write shared state non-index-disjointly\n\n" +
-		"A closure passed to par.ForEach runs concurrently: assignments to\n" +
-		"captured variables race, and writes to shared slices or maps must be\n" +
-		"indexed by the closure's own index parameter. Referencing an enclosing\n" +
+	Doc: "flag par.ForEach and par.ForEachWorker closures that write shared state non-index-disjointly\n\n" +
+		"A closure passed to par.ForEach or par.ForEachWorker runs concurrently:\n" +
+		"assignments to captured variables race, and writes to shared slices or\n" +
+		"maps must be indexed by the closure's own index parameter (or, for\n" +
+		"ForEachWorker, its worker-slot parameter). Referencing an enclosing\n" +
 		"loop's iteration variable inside the closure is flagged because it is\n" +
-		"almost always a stale copy of what should be the index parameter.",
+		"almost always a stale copy of what should be the index parameter.\n" +
+		"Method values passed as the work function are not checked.",
 	Run: run,
 }
 
@@ -48,8 +59,8 @@ func run(pass *analysis.Pass) error {
 					loops = loops[:len(loops)-1]
 					return false
 				case *ast.CallExpr:
-					if fl := forEachClosure(pass, n); fl != nil {
-						checkClosure(pass, fl, loops)
+					if name, fl := forEachClosure(pass, n); fl != nil {
+						checkClosure(pass, name, fl, loops)
 					}
 				}
 				return true
@@ -60,29 +71,31 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// forEachClosure returns the function-literal work argument of a
-// par.ForEach call, or nil.
-func forEachClosure(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
+// forEachClosure returns the qualified name ("par.ForEach" or
+// "par.ForEachWorker") and the function-literal work argument of a pool
+// call, or a nil literal.
+func forEachClosure(pass *analysis.Pass, call *ast.CallExpr) (string, *ast.FuncLit) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return nil
+		return "", nil
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "par" || fn.Name() != "ForEach" {
-		return nil
+	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "par" ||
+		(fn.Name() != "ForEach" && fn.Name() != "ForEachWorker") {
+		return "", nil
 	}
 	if len(call.Args) < 2 {
-		return nil
+		return "", nil
 	}
 	fl, _ := call.Args[1].(*ast.FuncLit)
-	return fl
+	return "par." + fn.Name(), fl
 }
 
 // checkClosure enforces the index-disjointness contract on one work
-// closure. loops are the for/range statements lexically enclosing the
-// par.ForEach call.
-func checkClosure(pass *analysis.Pass, fl *ast.FuncLit, loops []ast.Stmt) {
-	idx := indexParam(pass, fl)
+// closure passed to the pool function name. loops are the for/range
+// statements lexically enclosing the call.
+func checkClosure(pass *analysis.Pass, name string, fl *ast.FuncLit, loops []ast.Stmt) {
+	idx := indexParams(pass, fl)
 	loopVars := loopVariables(pass, loops)
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -91,28 +104,29 @@ func checkClosure(pass *analysis.Pass, fl *ast.FuncLit, loops []ast.Stmt) {
 				return true
 			}
 			for _, lhs := range n.Lhs {
-				checkWrite(pass, fl, idx, lhs)
+				checkWrite(pass, name, fl, idx, lhs)
 			}
 		case *ast.IncDecStmt:
-			checkWrite(pass, fl, idx, n.X)
+			checkWrite(pass, name, fl, idx, n.X)
 		case *ast.Ident:
 			if obj := pass.TypesInfo.Uses[n]; obj != nil && loopVars[obj] {
-				pass.Reportf(n.Pos(), "par.ForEach closure references enclosing loop variable %s; derive work from the closure's index parameter instead", n.Name)
+				pass.Reportf(n.Pos(), "%s closure references enclosing loop variable %s; derive work from the closure's index parameter instead", name, n.Name)
 			}
 		}
 		return true
 	})
 }
 
-// checkWrite validates one assignment target inside the closure.
-func checkWrite(pass *analysis.Pass, fl *ast.FuncLit, idx types.Object, lhs ast.Expr) {
+// checkWrite validates one assignment target inside the closure; idx are
+// the parameters an index may be derived from.
+func checkWrite(pass *analysis.Pass, name string, fl *ast.FuncLit, idx []types.Object, lhs ast.Expr) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if lhs.Name == "_" {
 			return
 		}
 		if obj := pass.TypesInfo.ObjectOf(lhs); obj != nil && capturedBy(fl, obj) {
-			pass.Reportf(lhs.Pos(), "par.ForEach closure writes captured variable %s — a data race; write into an index-disjoint slot instead", lhs.Name)
+			pass.Reportf(lhs.Pos(), "%s closure writes captured variable %s — a data race; write into an index-disjoint slot instead", name, lhs.Name)
 		}
 	case *ast.IndexExpr:
 		base, ok := ast.Unparen(lhs.X).(*ast.Ident)
@@ -123,31 +137,40 @@ func checkWrite(pass *analysis.Pass, fl *ast.FuncLit, idx types.Object, lhs ast.
 		if obj == nil || !capturedBy(fl, obj) {
 			return
 		}
-		if idx == nil || !mentionsObj(pass, lhs.Index, idx) {
-			pass.Reportf(lhs.Pos(), "par.ForEach closure writes shared %s at an index not derived from the closure's index parameter; concurrent workers may collide", base.Name)
+		if !mentionsAny(pass, lhs.Index, idx) {
+			pass.Reportf(lhs.Pos(), "%s closure writes shared %s at an index not derived from the closure's index parameter; concurrent workers may collide", name, base.Name)
 		}
 	case *ast.SelectorExpr:
 		if base, ok := ast.Unparen(lhs.X).(*ast.Ident); ok {
 			if obj := pass.TypesInfo.ObjectOf(base); obj != nil && capturedBy(fl, obj) {
-				pass.Reportf(lhs.Pos(), "par.ForEach closure writes field of captured %s — a data race; write into an index-disjoint slot instead", base.Name)
+				pass.Reportf(lhs.Pos(), "%s closure writes field of captured %s — a data race; write into an index-disjoint slot instead", name, base.Name)
 			}
 		}
 	case *ast.StarExpr:
 		if base, ok := ast.Unparen(lhs.X).(*ast.Ident); ok {
 			if obj := pass.TypesInfo.ObjectOf(base); obj != nil && capturedBy(fl, obj) {
-				pass.Reportf(lhs.Pos(), "par.ForEach closure writes through captured pointer %s — a data race; write into an index-disjoint slot instead", base.Name)
+				pass.Reportf(lhs.Pos(), "%s closure writes through captured pointer %s — a data race; write into an index-disjoint slot instead", name, base.Name)
 			}
 		}
 	}
 }
 
-// indexParam returns the object of the closure's index parameter.
-func indexParam(pass *analysis.Pass, fl *ast.FuncLit) types.Object {
-	params := fl.Type.Params
-	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {
+// indexParams returns the objects of the closure's parameters: the item
+// index of fn(i), or the worker slot and item index of fn(w, i). Either is
+// an index-disjoint key.
+func indexParams(pass *analysis.Pass, fl *ast.FuncLit) []types.Object {
+	var objs []types.Object
+	if fl.Type.Params == nil {
 		return nil
 	}
-	return pass.TypesInfo.ObjectOf(params.List[0].Names[0])
+	for _, field := range fl.Type.Params.List {
+		for _, id := range field.Names {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil && id.Name != "_" {
+				objs = append(objs, obj)
+			}
+		}
+	}
+	return objs
 }
 
 // loopVariables collects the iteration-variable objects of the enclosing
@@ -186,11 +209,11 @@ func capturedBy(fl *ast.FuncLit, obj types.Object) bool {
 	return obj.Pos() < fl.Pos() || obj.Pos() >= fl.End()
 }
 
-// mentionsObj reports whether expr references obj.
-func mentionsObj(pass *analysis.Pass, expr ast.Expr, obj types.Object) bool {
+// mentionsAny reports whether expr references any of objs.
+func mentionsAny(pass *analysis.Pass, expr ast.Expr, objs []types.Object) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
+		if id, ok := n.(*ast.Ident); ok && slices.Contains(objs, pass.TypesInfo.ObjectOf(id)) {
 			found = true
 		}
 		return !found

@@ -73,3 +73,23 @@ func suppressed(n int) int {
 	})
 	return best
 }
+
+type scratch struct{ buf []int }
+
+func workerSlots(n, workers int) ([]int, int) {
+	state := make([]*scratch, workers)
+	out := make([]int, n)
+	total := 0
+	par.ForEachWorker(n, func(w, i int) error {
+		if state[w] == nil {
+			state[w] = &scratch{} // per-slot state: one goroutine owns slot w
+		}
+		st := state[w]
+		st.buf = append(st.buf[:0], i)
+		out[i] = st.buf[0] // index-disjoint slot
+		out[0] = i         // want `par.ForEachWorker closure writes shared out at an index not derived from the closure's index parameter`
+		total += i         // want `par.ForEachWorker closure writes captured variable total`
+		return nil
+	})
+	return out, total
+}

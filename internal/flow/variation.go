@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"postopc/internal/layout"
 	"postopc/internal/litho"
 	"postopc/internal/obs"
-	"postopc/internal/par"
 	"postopc/internal/sta"
 	"postopc/internal/timinglib"
 )
@@ -48,13 +49,27 @@ type VariationModel struct {
 	// per-worker scheduler metrics. Write-only; never changes a sample.
 	Obs *obs.Sink
 
-	sites map[string]map[string]siteResponse // gate -> local site -> fit
+	// gates holds the fitted gates in name order, each with its sites in
+	// local-name order: the order Annotations draws random offsets in.
+	gates []gateFit
+}
+
+// gateFit is one gate's fitted sites, sorted by local name.
+type gateFit struct {
+	name  string
+	sites []siteFit
+}
+
+// siteFit is one site's fitted response.
+type siteFit struct {
+	local string
+	r     siteResponse
 }
 
 // BuildVariationModel fits the response model from extractions performed at
 // VariationCorners(pw).
 func BuildVariationModel(extrs map[string]*GateExtraction, pw litho.ProcessWindow, randSigmaNM float64) (*VariationModel, error) {
-	vm := &VariationModel{PW: pw, RandSigmaNM: randSigmaNM, sites: map[string]map[string]siteResponse{}}
+	vm := &VariationModel{PW: pw, RandSigmaNM: randSigmaNM}
 	for name, ext := range extrs {
 		m := map[string]siteResponse{}
 		for _, s := range ext.Sites {
@@ -79,8 +94,14 @@ func BuildVariationModel(extrs map[string]*GateExtraction, pw litho.ProcessWindo
 			}
 			m[s.LocalName] = r
 		}
-		vm.sites[name] = m
+		gf := gateFit{name: name, sites: make([]siteFit, 0, len(m))}
+		for local, r := range m {
+			gf.sites = append(gf.sites, siteFit{local: local, r: r})
+		}
+		slices.SortFunc(gf.sites, func(a, b siteFit) int { return strings.Compare(a.local, b.local) })
+		vm.gates = append(vm.gates, gf)
 	}
+	slices.SortFunc(vm.gates, func(a, b gateFit) int { return strings.Compare(a.name, b.name) })
 	return vm, nil
 }
 
@@ -105,49 +126,31 @@ func (r siteResponse) eval(fNorm, doseNorm, dRand float64) timinglib.Lengths {
 func (vm *VariationModel) Annotations(focusNM, dose float64, rnd *rand.Rand) sta.Annotations {
 	fNorm := clampF(focusNM/nonzero(vm.PW.DefocusNM), 1.5)
 	doseNorm := clampF((dose-1)/nonzero(vm.PW.DoseFrac), 1.5)
-	ann := sta.Annotations{}
-	// Deterministic iteration so equal seeds give identical samples.
-	for _, gate := range vm.gateNames() {
-		m := vm.sites[gate]
-		lengths := map[string]timinglib.Lengths{}
-		for _, local := range sortedKeys(m) {
+	ann := make(sta.Annotations, len(vm.gates))
+	// Fixed gate and site order so equal seeds give identical samples.
+	for _, gf := range vm.gates {
+		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
+		for _, sf := range gf.sites {
 			var dr float64
 			if rnd != nil {
 				dr = rnd.NormFloat64() * vm.RandSigmaNM
 			}
-			lengths[local] = m[local].eval(fNorm, doseNorm, dr)
+			lengths[sf.local] = sf.r.eval(fNorm, doseNorm, dr)
 		}
-		ann[gate] = lookupOrDrawn(lengths)
+		ann[gf.name] = lookupOrDrawn(lengths)
 	}
 	return ann
-}
-
-func (vm *VariationModel) gateNames() []string {
-	out := make([]string, 0, len(vm.sites))
-	for g := range vm.sites {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys(m map[string]siteResponse) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SlowCorner builds the classic pessimistic guardband annotation: every
 // site at its maximum delay length across the window extremes plus kSigma
 // of random variation — simultaneously, everywhere.
 func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
-	ann := sta.Annotations{}
-	for gate, m := range vm.sites {
-		lengths := map[string]timinglib.Lengths{}
-		for local, r := range m {
+	ann := make(sta.Annotations, len(vm.gates))
+	for _, gf := range vm.gates {
+		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
+		for _, sf := range gf.sites {
+			r := sf.r
 			worst := r.delay0
 			worstLeak := r.leak0
 			for _, fn := range []float64{0, 1} {
@@ -157,12 +160,12 @@ func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
 					worstLeak = math.Max(worstLeak, l.LeakL)
 				}
 			}
-			lengths[local] = timinglib.Lengths{
+			lengths[sf.local] = timinglib.Lengths{
 				DelayL: worst + kSigma*vm.RandSigmaNM,
 				LeakL:  worstLeak + kSigma*vm.RandSigmaNM,
 			}
 		}
-		ann[gate] = lookupOrDrawn(lengths)
+		ann[gf.name] = lookupOrDrawn(lengths)
 	}
 	return ann
 }
@@ -170,10 +173,11 @@ func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
 // FastCorner is the symmetric optimistic corner (minimum delay lengths −
 // kSigma random), used for leakage-dominated analyses.
 func (vm *VariationModel) FastCorner(kSigma float64) sta.Annotations {
-	ann := sta.Annotations{}
-	for gate, m := range vm.sites {
-		lengths := map[string]timinglib.Lengths{}
-		for local, r := range m {
+	ann := make(sta.Annotations, len(vm.gates))
+	for _, gf := range vm.gates {
+		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
+		for _, sf := range gf.sites {
+			r := sf.r
 			best := r.delay0
 			bestLeak := r.leak0
 			for _, fn := range []float64{0, 1} {
@@ -183,12 +187,12 @@ func (vm *VariationModel) FastCorner(kSigma float64) sta.Annotations {
 					bestLeak = math.Min(bestLeak, l.LeakL)
 				}
 			}
-			lengths[local] = timinglib.Lengths{
+			lengths[sf.local] = timinglib.Lengths{
 				DelayL: math.Max(5, best-kSigma*vm.RandSigmaNM),
 				LeakL:  math.Max(5, bestLeak-kSigma*vm.RandSigmaNM),
 			}
 		}
-		ann[gate] = lookupOrDrawn(lengths)
+		ann[gf.name] = lookupOrDrawn(lengths)
 	}
 	return ann
 }
@@ -267,11 +271,11 @@ func (vm *VariationModel) MonteCarlo(g *sta.Graph, cfg sta.Config, samples int, 
 // (0 = GOMAXPROCS, 1 = serial).
 //
 // Every sample annotates the same gates, the model's, so the model's
-// nominal annotation set is analyzed in full once and each sample runs
-// Graph.AnalyzeIncremental from it: it re-evaluates only the model's gates
-// and re-propagates only their fan-out cone, bit-identical to a full
-// Analyze. A sample reads only WNS and LeakNW, so every analysis runs at
-// KPaths 1.
+// nominal annotation set is analyzed in full once and Graph.MonteCarlo
+// times every sample incrementally from it: each re-evaluates only the
+// model's gates and re-propagates only their fan-out cone, bit-identical
+// to a full Analyze, in analysis state its worker reuses. A sample reads
+// only WNS and LeakNW, so every analysis runs at KPaths 1.
 //
 // The result depends only on the seed, never on the worker count: each
 // sample's RNG stream is seeded up front from a master stream over the
@@ -294,24 +298,16 @@ func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, sample
 	if err != nil {
 		return out, err
 	}
-	cSamples := vm.Obs.Counter("sta.mc_samples_total")
-	wns := make([]float64, samples)
-	leak := make([]float64, samples)
-	err = par.ForEach(samples, func(s int) error {
+	wns, leak, err := g.MonteCarlo(cfg, base, samples, func(s int) sta.Annotations {
 		rnd := rand.New(rand.NewSource(seeds[s]))
 		f := rnd.NormFloat64() * vm.PW.DefocusNM / 3
 		d := 1 + rnd.NormFloat64()*vm.PW.DoseFrac/3
-		res, err := g.AnalyzeIncremental(cfg, vm.Annotations(f, d, rnd), base)
-		if err != nil {
-			return err
-		}
-		cSamples.Inc()
-		wns[s], leak[s] = res.WNS, res.LeakNW
-		return nil
-	}, par.Workers(workers), par.Obs(vm.Obs))
+		return vm.Annotations(f, d, rnd)
+	}, sta.MonteCarloOptions{Workers: workers, Obs: vm.Obs})
 	if err != nil {
 		return out, err
 	}
+	vm.Obs.Counter("sta.mc_samples_total").Add(uint64(samples))
 	out.WNS, out.Leak = wns, leak
 	sort.Float64s(out.WNS)
 	sort.Float64s(out.Leak)

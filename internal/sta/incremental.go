@@ -1,9 +1,10 @@
 package sta
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
-	"postopc/internal/timinglib"
+	"postopc/internal/stdcell"
 )
 
 // AnalyzeIncremental re-runs STA under new annotations, recomputing only
@@ -16,14 +17,16 @@ import (
 //     re-evaluated; a gate whose electrical view comes out identical is
 //     treated as unchanged, so corners that only perturb a subset of gates
 //     pay only for that subset.
-//   - Arrivals are recomputed in topological order only where an input
-//     arrival, the gate's own evaluation, or its output load changed; a
-//     recomputed arrival that matches the baseline bit-for-bit stops the
-//     cone there.
-//   - Clean nets share their arrival structs with the baseline (arrivals
-//     are immutable once an analysis returns), and leakage is re-summed in
-//     the same gate order as Analyze so the total carries identical
-//     floating-point rounding.
+//   - Evals and arrivals start as a copy of the baseline's. A changed
+//     gate marks its own topological position, and a net whose arrival
+//     changed marks every combinational gate it feeds; the walk visits only
+//     marked positions, lowest first, so the cone is recomputed in
+//     topological order. A recomputed arrival that matches the baseline
+//     stops the cone there.
+//   - Loads depend only on the boundary conditions checked below, so the
+//     result shares the baseline's. Leakage is re-summed in the same gate
+//     order as Analyze so the total carries identical floating-point
+//     rounding.
 //
 // The baseline must have been analyzed under the same arrival-relevant
 // boundary conditions (InputSlewPS, PrimaryLoadFF, WireLoads). ClockPS,
@@ -38,26 +41,54 @@ import (
 // "sta.incremental_gate_evals" (candidates re-evaluated) and
 // "sta.incremental_cone_gates" (arrivals recomputed).
 func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*Result, error) {
-	if r := g.incrementalOK(cfg, ann, base); r != baselineOK {
-		g.cFallbacks.Inc()
-		g.cFallbackBy[r].Inc()
+	if g.refuse(cfg, ann, base) {
 		return g.Analyze(cfg, ann)
 	}
+	res := &Result{}
+	if err := g.reanalyze(cfg, ann, base, res, &cone{}); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// cone is the cone walk's scratch: the candidate gates and one mark bit
+// per topological position. A walk leaves every mark clear, so one cone
+// serves any number of analyses in turn.
+type cone struct {
+	cands  []int
+	marks  []uint64
+	lo, hi int // range of words holding marks
+}
+
+// mark marks topological position p.
+func (c *cone) mark(p int32) {
+	w := int(p >> 6)
+	c.marks[w] |= 1 << (p & 63)
+	c.lo, c.hi = min(c.lo, w), max(c.hi, w)
+}
+
+// reanalyze is the cone engine behind AnalyzeIncremental and MonteCarlo:
+// it overwrites res with the analysis of ann seeded from base, which the
+// caller has checked with refuse. res's evals, arrivals, endpoints and
+// paths are reused when their capacity allows; c is the walk's scratch.
+func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *cone) error {
 	tA := g.hAnalyze.StartTimer()
 	defer g.hAnalyze.ObserveSince(tA)
 	g.cIncr.Inc()
 	if cfg.KPaths <= 0 {
 		cfg.KPaths = 10
 	}
-	n := g.Netlist
+	res.g, res.cfg, res.ann, res.loads = g, cfg, ann, base.loads
+	res.evals = append(res.evals[:0], base.evals...)
+	res.arr = append(res.arr[:0], base.arr...)
 
 	// Candidate gates: everything named by either annotation set. Sorted
 	// so a failing evaluation surfaces the same error regardless of map
 	// iteration order.
-	var candidates []int
+	cands := c.cands[:0]
 	for name := range base.ann {
 		if gi, ok := g.byName[name]; ok {
-			candidates = append(candidates, gi)
+			cands = append(cands, gi)
 		}
 	}
 	for name := range ann {
@@ -65,104 +96,89 @@ func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*
 			continue // already collected from the baseline set
 		}
 		if gi, ok := g.byName[name]; ok {
-			candidates = append(candidates, gi)
+			cands = append(cands, gi)
 		}
 	}
-	sort.Ints(candidates)
-	g.hIncrEvals.Observe(float64(len(candidates)))
+	slices.Sort(cands)
+	c.cands = cands
+	g.hIncrEvals.Observe(float64(len(cands)))
 
-	// Re-evaluate candidates; gates whose electrical view is unchanged do
-	// not enter the dirty set.
-	evals := make([]timinglib.Eval, len(base.evals))
-	copy(evals, base.evals)
-	gateDirty := make([]bool, len(n.Gates))
-	loadDirty := make([]bool, len(g.netNames))
-	var dirtyLoads []int
-	for _, gi := range candidates {
+	// Re-evaluate candidates, keeping only those whose electrical view
+	// changed.
+	dirty := cands[:0]
+	for _, gi := range cands {
 		ev, err := g.evalGate(gi, ann)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if evalEqual(ev, base.evals[gi]) {
-			continue
-		}
-		evals[gi] = ev
-		gateDirty[gi] = true
-		// A changed input capacitance changes the load of every net this
-		// gate sinks, which re-times their drivers. (The current device
-		// model derives Cin from drawn geometry only, so this stays empty
-		// under length annotations — but the engine must not assume that.)
-		if !cinEqual(ev.CinFF, base.evals[gi].CinFF) {
-			for _, pn := range g.inputs[gi] {
-				if !loadDirty[pn.idx] {
-					loadDirty[pn.idx] = true
-					dirtyLoads = append(dirtyLoads, pn.idx)
-				}
-			}
+		if ev != base.evals[gi] {
+			res.evals[gi] = ev
+			dirty = append(dirty, gi)
 		}
 	}
+	res.LeakNW = sumLeak(res.evals)
 
-	// Loads: shared with the baseline except where a sink capacitance
-	// changed; dirty nets are recomputed with the same per-net summation
-	// order as netLoads.
-	loads := base.loads
-	if len(dirtyLoads) > 0 {
-		loads = make([]float64, len(base.loads))
-		copy(loads, base.loads)
-		for _, ni := range dirtyLoads {
-			nl := g.netLoad(cfg, g.netNames[ni], g.connOf[ni], evals)
-			if nl == base.loads[ni] {
-				loadDirty[ni] = false // cap shift cancelled out: load clean
-				continue
-			}
-			loads[ni] = nl
-		}
-	}
-
-	// Arrivals: start from the baseline's (shared structs) and recompute
-	// the dirty cone in topological order.
-	arr := make([]*arrival, len(base.arr))
-	copy(arr, base.arr)
-	res := &Result{g: g, arr: arr, cfg: cfg, ann: ann, evals: evals, loads: loads}
-	res.LeakNW = sumLeak(evals)
-
-	dirtyNet := make([]bool, len(g.netNames))
 	// Seeds: primary-input arrivals depend only on cfg (verified equal);
-	// flop launches depend on the flop's evaluation and its Q-net load.
-	for gi := range n.Gates {
-		qi := g.outIdx[gi]
-		if qi < 0 || (!gateDirty[gi] && !loadDirty[qi]) {
+	// a flop launch depends on the flop's evaluation and its Q-net load.
+	if c.marks == nil {
+		c.marks = make([]uint64, (len(g.topo)+63)/64)
+	}
+	c.lo, c.hi = len(c.marks), -1
+	for _, gi := range dirty {
+		if p := g.topoPos[gi]; p >= 0 {
+			c.mark(p)
 			continue
 		}
-		if ni, a, ok := g.launchArrival(gi, cfg, evals, loads); ok {
-			if !arrivalEqual(a, base.arr[ni]) {
-				arr[ni] = a
-				dirtyNet[ni] = true
-			}
+		qi := g.outIdx[gi]
+		if qi < 0 || g.cells[gi].Kind != stdcell.Seq {
+			continue
+		}
+		if a := g.launchArrival(cfg, res.evals[gi], res.loads[qi]); a != base.arr[qi] {
+			res.arr[qi] = a
+			g.markFanout(c, qi)
 		}
 	}
 
 	tP := g.hArrival.StartTimer()
-	cone := 0
-	for _, gi := range g.topo {
-		oi := g.outIdx[gi]
-		if oi < 0 || (!gateDirty[gi] && !loadDirty[oi] && !g.anyInputDirty(gi, dirtyNet)) {
-			continue
-		}
-		cone++
-		out := g.propagateGate(gi, evals[gi], loads[oi], arr)
-		if !arrivalEqual(out, base.arr[oi]) {
-			arr[oi] = out
-			dirtyNet[oi] = true
+	n := 0
+	for w := c.lo; w <= c.hi; w++ {
+		for c.marks[w] != 0 {
+			b := bits.TrailingZeros64(c.marks[w])
+			c.marks[w] &^= 1 << b
+			gi := g.topo[w<<6|b]
+			oi := g.outIdx[gi]
+			if oi < 0 {
+				continue
+			}
+			n++
+			if out := g.propagateGate(gi, res.evals[gi], res.loads[oi], res.arr); out != base.arr[oi] {
+				res.arr[oi] = out
+				g.markFanout(c, oi)
+			}
 		}
 	}
 	g.hArrival.ObserveSince(tP)
-	g.hConeGates.Observe(float64(cone))
+	g.hConeGates.Observe(float64(n))
+	return g.finish(res)
+}
 
-	if err := g.finish(res); err != nil {
-		return nil, err
+// markFanout marks the combinational gates net ni feeds.
+func (g *Graph) markFanout(c *cone, ni int) {
+	for _, p := range g.fanout[ni] {
+		c.mark(p)
 	}
-	return res, nil
+}
+
+// refuse reports whether base cannot seed an incremental analysis under
+// cfg and ann, counting the fallback to a full Analyze if so.
+func (g *Graph) refuse(cfg Config, ann Annotations, base *Result) bool {
+	r := g.incrementalOK(cfg, ann, base)
+	if r == baselineOK {
+		return false
+	}
+	g.cFallbacks.Inc()
+	g.cFallbackBy[r].Inc()
+	return true
 }
 
 // fallbackReason is incrementalOK's verdict on a baseline: baselineOK, or
@@ -198,8 +214,8 @@ func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) fallbac
 	if base == nil {
 		return refuseNilBaseline
 	}
-	// Only Analyze and AnalyzeIncremental on this graph set base.g, and
-	// they always retain the arrival, eval and load state.
+	// Only analyses on this graph set base.g, and they always retain the
+	// arrival, eval and load state.
 	if base.g != g {
 		return refuseForeignGraph
 	}
@@ -217,51 +233,6 @@ func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) fallbac
 		return refuseWireLoads
 	}
 	return baselineOK
-}
-
-func (g *Graph) anyInputDirty(gi int, dirtyNet []bool) bool {
-	for _, pn := range g.inputs[gi] {
-		if dirtyNet[pn.idx] {
-			return true
-		}
-	}
-	return false
-}
-
-// evalEqual reports whether two electrical views are bit-identical in
-// every field STA reads.
-func evalEqual(a, b timinglib.Eval) bool {
-	if a.IRiseUA != b.IRiseUA || a.IFallUA != b.IFallUA ||
-		a.RcRiseOhm != b.RcRiseOhm || a.RcFallOhm != b.RcFallOhm ||
-		a.LeakNW != b.LeakNW {
-		return false
-	}
-	return cinEqual(a.CinFF, b.CinFF)
-}
-
-func cinEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for pin, v := range a {
-		if w, ok := b[pin]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-// arrivalEqual compares every field downstream computation reads,
-// including the backtrace predecessors.
-func arrivalEqual(a, b *arrival) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.atR == b.atR && a.atF == b.atF &&
-		a.slewR == b.slewR && a.slewF == b.slewF &&
-		a.fromNetR == b.fromNetR && a.fromNetF == b.fromNetF &&
-		a.fromRiseR == b.fromRiseR && a.fromRiseF == b.fromRiseF &&
-		a.valid == b.valid
 }
 
 // wireLoadsEqual compares two wire-load maps entry for entry.

@@ -158,11 +158,14 @@ func TestIncrementalMatchesFull(t *testing.T) {
 }
 
 // TestIncrementalSharesCleanArrivals asserts the engine really is
-// incremental: arrivals outside the dirty cone are the baseline's structs,
-// not recomputed copies.
+// incremental: the recomputed cone is non-empty but well under half the
+// combinational gates, and every arrival outside it keeps the baseline's
+// value.
 func TestIncrementalSharesCleanArrivals(t *testing.T) {
 	n := netlist.Datapath(6, 5, 11)
 	g := buildGraph(t, n)
+	sink := obs.NewSink()
+	g.Instrument(sink)
 	cfg := DefaultConfig(2500)
 	base, err := g.Analyze(cfg, nil)
 	if err != nil {
@@ -173,22 +176,23 @@ func TestIncrementalSharesCleanArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, total := 0, 0
-	for ni, a := range base.arr {
-		if a == nil {
-			continue
-		}
-		total++
-		if incr.arr[ni] == a {
-			shared++
+	var cone float64
+	for _, h := range sink.Metrics.Snapshot().Histograms {
+		if h.Name == "sta.incremental_cone_gates" {
+			cone = h.Sum
 		}
 	}
-	if shared == 0 || shared == total {
-		t.Fatalf("expected partial sharing, got %d/%d shared", shared, total)
+	if cone <= 0 || cone >= float64(len(g.topo))/2 {
+		t.Fatalf("recomputed cone %v gates, want in (0, %d)", cone, len(g.topo)/2)
 	}
-	// Conservative floor: at most one chain (plus slack) is dirty.
-	if shared < total/2 {
-		t.Fatalf("dirty cone too large: only %d/%d arrivals shared", shared, total)
+	changed := 0
+	for ni := range base.arr {
+		if incr.arr[ni] != base.arr[ni] {
+			changed++
+		}
+	}
+	if changed == 0 || float64(changed) > cone {
+		t.Fatalf("%d arrivals changed, want in (0, cone %v]", changed, cone)
 	}
 }
 

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"postopc/internal/obs"
@@ -108,6 +109,69 @@ func (g *Graph) MultiCorner(cfg Config, corners []CornerSpec, opt MultiCornerOpt
 		return nil, err
 	}
 	return mergeCorners(corners, results), nil
+}
+
+// MonteCarloOptions configure MonteCarlo.
+type MonteCarloOptions struct {
+	// Workers bounds sample-level concurrency (0 = GOMAXPROCS,
+	// 1 = serial). Results are identical for any value.
+	Workers int
+	// Obs receives sample fan-out scheduler telemetry (par.* series).
+	// Per-analysis telemetry flows through Graph.Instrument as usual.
+	Obs *obs.Sink
+}
+
+// mcWorker is one pool slot's analysis state, overwritten by every sample
+// the slot runs.
+type mcWorker struct {
+	res  Result
+	cone cone
+}
+
+// MonteCarlo times n samples against one baseline and returns each
+// sample's WNS and LeakNW in sample order. Sample i is the analysis of
+// ann(i): its two numbers are bit-identical to those of
+// AnalyzeIncremental(cfg, ann(i), base), a refused baseline included
+// (counted, and answered by a full Analyze). Samples fan out over the
+// deterministic worker pool; each pool slot owns one analysis state —
+// evals, arrivals, endpoints and cone marks — that every sample it runs
+// overwrites, so a sample costs only its cone. ann is called once per
+// sample, from the worker that runs it.
+func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func(i int) Annotations, opt MonteCarloOptions) (wns, leak []float64, err error) {
+	if n <= 0 {
+		return nil, nil, nil
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	state := make([]*mcWorker, workers)
+	wns, leak = make([]float64, n), make([]float64, n)
+	err = par.ForEachWorker(n, func(w, i int) error {
+		a := ann(i)
+		if g.refuse(cfg, a, base) {
+			r, err := g.Analyze(cfg, a)
+			if err != nil {
+				return err
+			}
+			wns[i], leak[i] = r.WNS, r.LeakNW
+			return nil
+		}
+		if state[w] == nil {
+			state[w] = &mcWorker{}
+		}
+		st := state[w]
+		if err := g.reanalyze(cfg, a, base, &st.res, &st.cone); err != nil {
+			return err
+		}
+		wns[i], leak[i] = st.res.WNS, st.res.LeakNW
+		return nil
+	}, par.Workers(workers), par.Obs(opt.Obs))
+	if err != nil {
+		return nil, nil, err
+	}
+	return wns, leak, nil
 }
 
 // mergeCorners folds per-corner analyses into the worst-case view. Every

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"postopc/internal/stdcell"
-	"postopc/internal/timinglib"
 )
 
 // First-order canonical statistical STA: every delay and arrival is
@@ -150,48 +149,48 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 		return nil, fmt.Errorf("sta: SSTA needs a CanonicalArcs model")
 	}
 	n := g.Netlist
-	// Net loads from the drawn evaluation (input caps are annotation-
-	// independent in this library). netLoads applies the WireLoads
-	// partial-map contract: nets absent from a non-nil map fall back to
-	// the flat per-gate-sink CWireFF instead of zero wire capacitance.
-	nomEvals := make([]timinglib.Eval, len(n.Gates))
-	for gi := range n.Gates {
-		ev, err := g.TL.Evaluate(g.cells[gi], nil)
-		if err != nil {
-			return nil, err
-		}
-		nomEvals[gi] = ev
-	}
-	loads := g.netLoads(cfg, nomEvals)
+	// Net loads as the deterministic engine computes them (input caps are
+	// annotation-independent in this library). netLoads applies the
+	// WireLoads partial-map contract: nets absent from a non-nil map fall
+	// back to the flat per-gate-sink CWireFF instead of zero wire
+	// capacitance.
+	loads := g.netLoads(cfg)
 
+	// Canonical arrivals, net-indexed; the zero value is a net no arrival
+	// reaches.
 	type cArr struct {
 		r, f           Canonical
 		slewR, slewF   float64
 		validR, validF bool
 	}
-	arr := map[string]*cArr{}
+	arr := make([]cArr, len(g.netNames))
 	for _, in := range n.Inputs {
-		arr[in] = &cArr{slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS, validR: true, validF: true}
+		if ni, ok := g.netIdx[in]; ok {
+			arr[ni] = cArr{slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS, validR: true, validF: true}
+		}
 	}
 	for gi, gate := range n.Gates {
-		if g.cells[gi].Kind != stdcell.Seq {
+		qi := g.outIdx[gi]
+		if g.cells[gi].Kind != stdcell.Seq || qi < 0 {
 			continue
 		}
-		qNet, ok := gate.Conn[g.cells[gi].Output]
-		if !ok {
-			continue
-		}
-		cR, sR := arcs.Launch(gate.Name, true, loads[g.netIdx[qNet]], cfg.InputSlewPS)
-		cF, sF := arcs.Launch(gate.Name, false, loads[g.netIdx[qNet]], cfg.InputSlewPS)
-		arr[qNet] = &cArr{r: cR, f: cF, slewR: sR, slewF: sF, validR: true, validF: true}
+		cR, sR := arcs.Launch(gate.Name, true, loads[qi], cfg.InputSlewPS)
+		cF, sF := arcs.Launch(gate.Name, false, loads[qi], cfg.InputSlewPS)
+		arr[qi] = cArr{r: cR, f: cF, slewR: sR, slewF: sF, validR: true, validF: true}
 	}
 
+	// Inputs are merged in the sorted pin order Build prepared: Clark's
+	// max is not bit-symmetric in its operands, so the order is part of
+	// the result.
 	for _, gi := range g.topo {
+		oi := g.outIdx[gi]
+		if oi < 0 {
+			continue // dangling output: nothing downstream to time
+		}
 		gate := n.Gates[gi]
 		cell := g.cells[gi]
-		outNet := gate.Conn[cell.Output]
-		load := loads[g.netIdx[outNet]]
-		out := &cArr{}
+		load := loads[oi]
+		var out cArr
 		merge := func(rise bool, c Canonical, slew float64) {
 			if rise {
 				if !out.validR {
@@ -213,14 +212,8 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 				}
 			}
 		}
-		for pin, net := range gate.Conn {
-			if pin == cell.Output {
-				continue
-			}
-			in := arr[net]
-			if in == nil {
-				continue
-			}
+		for _, pn := range g.inputs[gi] {
+			in := &arr[pn.idx]
 			consider := func(inRise bool, inArr Canonical, inSlew float64, valid bool) {
 				if !valid {
 					return
@@ -233,17 +226,17 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 			consider(true, in.r, in.slewR, in.validR)
 			consider(false, in.f, in.slewF, in.validF)
 		}
-		arr[outNet] = out
+		arr[oi] = out
 	}
 
 	res := &SSTAResult{Params: params}
 	neg := func(c Canonical) Canonical {
 		return Canonical{Mean: -c.Mean, SensU: -c.SensU, SensD: -c.SensD, Rand2: c.Rand2}
 	}
-	addEndpoint := func(name, net string, required float64) {
-		a := arr[net]
-		if a == nil || (!a.validR && !a.validF) {
-			return
+	for _, ref := range g.endpoints {
+		a := &arr[ref.net]
+		if !a.validR && !a.validF {
+			continue
 		}
 		var worst Canonical
 		switch {
@@ -254,19 +247,12 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 		default:
 			worst = a.f
 		}
+		required := cfg.ClockPS
+		if ref.flop {
+			required = cfg.ClockPS - cfg.SetupPS
+		}
 		slack := Canonical{Mean: required}.add(neg(worst))
-		res.Endpoints = append(res.Endpoints, SSTAEndpoint{Name: name, Slack: slack})
-	}
-	for _, po := range n.Outputs {
-		addEndpoint(po, po, cfg.ClockPS)
-	}
-	for gi, gate := range n.Gates {
-		if g.cells[gi].Kind != stdcell.Seq {
-			continue
-		}
-		if dNet, ok := gate.Conn["D"]; ok {
-			addEndpoint(gate.Name+"/D", dNet, cfg.ClockPS-cfg.SetupPS)
-		}
+		res.Endpoints = append(res.Endpoints, SSTAEndpoint{Name: ref.name, Slack: slack})
 	}
 	if len(res.Endpoints) == 0 {
 		return nil, fmt.Errorf("sta: SSTA found no constrained endpoints")

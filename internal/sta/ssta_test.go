@@ -1,7 +1,9 @@
 package sta
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"postopc/internal/netlist"
@@ -132,3 +134,69 @@ func TestAnalyzeSSTAErrors(t *testing.T) {
 }
 
 func chainNetlist(k int) *netlist.Netlist { return netlist.InverterChain(k) }
+
+// gateArcs gives every gate and output sense its own canonical delay, so
+// the order a gate's input arrivals are merged in shows in the result
+// bits: Clark's max is not bit-symmetric in its operands.
+type gateArcs struct{}
+
+func (gateArcs) Arc(gate string, outRise bool, loadFF, inSlewPS float64) (Canonical, float64) {
+	h := uint32(2166136261) // FNV-1a over the gate name and sense
+	for i := 0; i < len(gate); i++ {
+		h = (h ^ uint32(gate[i])) * 16777619
+	}
+	if outRise {
+		h = (h ^ 0x5a) * 16777619
+	}
+	v := float64(h%1024) / 1024
+	return Canonical{Mean: 8 + 6*v + 0.05*loadFF, SensU: 5 + 20*v, SensD: 15 - 10*v, Rand2: 20 + 200*v},
+		15 + 10*v + 0.02*inSlewPS
+}
+
+func (a gateArcs) Launch(gate string, outRise bool, loadFF, inSlewPS float64) (Canonical, float64) {
+	return a.Arc(gate, outRise, loadFF, inSlewPS)
+}
+
+// goldenSSTASHA pins AnalyzeSSTA of Datapath(16, 8, 3) under gateArcs: the
+// bits of every endpoint's canonical slack and of the canonical WNS.
+const goldenSSTASHA = "4cb55c68ee22bf3619accbd6f950c0a87e33f16abb62308528fa3a893c103956"
+
+func renderSSTABits(r *SSTAResult) string {
+	bits := func(c Canonical) string {
+		return fmt.Sprintf("%016x %016x %016x %016x", math.Float64bits(c.Mean),
+			math.Float64bits(c.SensU), math.Float64bits(c.SensD), math.Float64bits(c.Rand2))
+	}
+	var b strings.Builder
+	for _, ep := range r.Endpoints {
+		fmt.Fprintf(&b, "%s %s\n", ep.Name, bits(ep.Slack))
+	}
+	fmt.Fprintf(&b, "wns %s\n", bits(r.WNS))
+	return b.String()
+}
+
+// TestAnalyzeSSTADeterministic runs SSTA 50 times on one graph: every run
+// must give the same bits, and they must match the golden. Inputs are
+// merged in Build's sorted pin order, not in map iteration order.
+func TestAnalyzeSSTADeterministic(t *testing.T) {
+	g := buildGraph(t, netlist.Datapath(16, 8, 3))
+	cfg := DefaultConfig(1500)
+	p := DefaultSSTAParams()
+	var first string
+	for run := 0; run < 50; run++ {
+		res, err := g.AnalyzeSSTA(cfg, p, gateArcs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := renderSSTABits(res)
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got != first {
+			t.Fatalf("run %d differs from run 0", run)
+		}
+	}
+	if got := sha256Hex(first); got != goldenSSTASHA {
+		t.Fatalf("SSTA digest %s, want %s", got, goldenSSTASHA)
+	}
+}

@@ -12,7 +12,9 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"postopc/internal/netlist"
 	"postopc/internal/obs"
@@ -73,6 +75,22 @@ type Graph struct {
 	netNames []string
 	connOf   []*netlist.Conn // conns re-indexed by net index
 	outIdx   []int           // per gate: output net index, -1 if unconnected
+
+	// What no annotation or boundary condition can change, resolved once
+	// at Build:
+	//   - sinkCin: per net, the input capacitance (fF) of each sink,
+	//     parallel to its Conn.Sinks (0 at primary outputs). Cin depends
+	//     on drawn geometry only (timinglib.Lib.Cin).
+	//   - endpoints: the timing endpoints in report collection order,
+	//     primary outputs first, then flop D pins in gate order.
+	//   - topoPos: each gate's position in topo, -1 for sequential gates.
+	//   - fanout: per net, the topological positions of the combinational
+	//     gates it feeds, which the cone walk marks when the net's arrival
+	//     changes.
+	sinkCin   [][]float64
+	endpoints []endpointRef
+	topoPos   []int32
+	fanout    [][]int32
 
 	// Telemetry handles (see Instrument); nil on an uninstrumented graph.
 	// Write-only: telemetry never alters an analysis result.
@@ -163,6 +181,7 @@ func Build(n *netlist.Netlist, lib *stdcell.Library, tl *timinglib.Lib) (*Graph,
 	if err := g.levelize(); err != nil {
 		return nil, err
 	}
+	g.resolve()
 	return g, nil
 }
 
@@ -170,6 +189,53 @@ func Build(n *netlist.Netlist, lib *stdcell.Library, tl *timinglib.Lib) (*Graph,
 type pinNet struct {
 	pin, net string
 	idx      int // net index (see Graph.netIdx)
+}
+
+// endpointRef is one timing endpoint as Build resolves it.
+type endpointRef struct {
+	name string
+	net  int32 // net index
+	flop bool  // a flop D pin (required at ClockPS − SetupPS), else a primary output
+}
+
+// resolve fills the Build-time tables: sink capacitances, endpoints,
+// topological positions and fan-out (see Graph).
+func (g *Graph) resolve() {
+	n := g.Netlist
+	g.sinkCin = make([][]float64, len(g.connOf))
+	for ni, c := range g.connOf {
+		caps := make([]float64, len(c.Sinks))
+		for k, s := range c.Sinks {
+			if s.Gate >= 0 {
+				caps[k] = g.TL.Cin(g.cells[s.Gate])[s.Pin]
+			}
+		}
+		g.sinkCin[ni] = caps
+	}
+	for _, po := range n.Outputs {
+		if ni, ok := g.netIdx[po]; ok {
+			g.endpoints = append(g.endpoints, endpointRef{name: po, net: int32(ni)})
+		}
+	}
+	for gi, gate := range n.Gates {
+		if g.cells[gi].Kind != stdcell.Seq {
+			continue
+		}
+		if ni, ok := g.netIdx[gate.Conn["D"]]; ok {
+			g.endpoints = append(g.endpoints, endpointRef{name: gate.Name + "/D", net: int32(ni), flop: true})
+		}
+	}
+	g.topoPos = make([]int32, len(n.Gates))
+	for gi := range g.topoPos {
+		g.topoPos[gi] = -1
+	}
+	g.fanout = make([][]int32, len(g.netNames))
+	for p, gi := range g.topo {
+		g.topoPos[gi] = int32(p)
+		for _, pn := range g.inputs[gi] {
+			g.fanout[pn.idx] = append(g.fanout[pn.idx], int32(p))
+		}
+	}
 }
 
 // levelize topologically orders the combinational gates. Sequential cells
@@ -234,13 +300,14 @@ func (g *Graph) levelize() error {
 // guardband).
 type Annotations map[string]timinglib.Annotator
 
-// arrival is the timing state of one net.
+// arrival is the timing state of one net. The zero value is a net no
+// analysis has reached: not valid.
 type arrival struct {
 	atR, atF     float64 // arrival times (ps)
 	slewR, slewF float64
 	// backtrace: predecessor net index and sense through the driving gate
 	// (-1 at startpoints).
-	fromNetR, fromNetF   int
+	fromNetR, fromNetF   int32
 	fromRiseR, fromRiseF bool
 	valid                bool
 }
@@ -271,12 +338,13 @@ type Result struct {
 	LeakNW float64
 
 	// Retained analysis state: AnalyzeIncremental seeds from it to
-	// recompute only the cone of gates whose annotation changed. Arrivals
-	// and loads are net-index-shaped slices (see Graph.netIdx); the arrival
-	// structs are immutable once an analysis returns — incremental results
-	// share them with their baseline.
+	// recompute only the cone of gates whose annotation changed. Evals are
+	// gate-indexed, arrivals and loads net-indexed (see Graph.netIdx), and
+	// all three hold plain values, so seeding is a memmove. Loads depend
+	// only on the boundary conditions, so incremental results share their
+	// baseline's, read-only.
 	g     *Graph
-	arr   []*arrival
+	arr   []arrival
 	cfg   Config
 	ann   Annotations
 	evals []timinglib.Eval
@@ -330,29 +398,30 @@ func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
 	}
 	n := g.Netlist
 	// Evaluate every gate's electrical view.
-	evals := make([]timinglib.Eval, len(n.Gates))
-	res := &Result{g: g, arr: make([]*arrival, len(g.netNames)), cfg: cfg, ann: ann, evals: evals}
+	res := &Result{g: g, cfg: cfg, ann: ann,
+		evals: make([]timinglib.Eval, len(n.Gates)),
+		arr:   make([]arrival, len(g.netNames)),
+		loads: g.netLoads(cfg)}
 	for gi := range n.Gates {
 		ev, err := g.evalGate(gi, ann)
 		if err != nil {
 			return nil, err
 		}
-		evals[gi] = ev
+		res.evals[gi] = ev
 	}
 	g.hFullEvals.Observe(float64(len(n.Gates)))
-	res.LeakNW = sumLeak(evals)
-	res.loads = g.netLoads(cfg, evals)
+	res.LeakNW = sumLeak(res.evals)
 
 	// Seed arrivals: primary inputs and flop Q outputs.
 	for _, in := range n.Inputs {
 		if ni, ok := g.netIdx[in]; ok {
-			res.arr[ni] = &arrival{atR: 0, atF: 0, slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS,
+			res.arr[ni] = arrival{atR: 0, atF: 0, slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS,
 				fromNetR: -1, fromNetF: -1, valid: true}
 		}
 	}
 	for gi := range n.Gates {
-		if qi, a, ok := g.launchArrival(gi, cfg, evals, res.loads); ok {
-			res.arr[qi] = a
+		if qi := g.outIdx[gi]; qi >= 0 && g.cells[gi].Kind == stdcell.Seq {
+			res.arr[qi] = g.launchArrival(cfg, res.evals[gi], res.loads[qi])
 		}
 	}
 
@@ -363,7 +432,7 @@ func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
 		if oi < 0 {
 			continue // dangling output: nothing downstream to time
 		}
-		res.arr[oi] = g.propagateGate(gi, evals[gi], res.loads[oi], res.arr)
+		res.arr[oi] = g.propagateGate(gi, res.evals[gi], res.loads[oi], res.arr)
 	}
 	g.hArrival.ObserveSince(tP)
 
@@ -397,82 +466,71 @@ func sumLeak(evals []timinglib.Eval) float64 {
 	return leak
 }
 
-// netLoads computes every net's capacitive load, net-index-shaped.
-func (g *Graph) netLoads(cfg Config, evals []timinglib.Eval) []float64 {
+// netLoads computes every net's capacitive load, net-index-shaped: sink
+// input-pin caps plus wire capacitance — the per-net WireLoads entry when
+// present, the kit's flat per-gate-sink CWireFF otherwise. A net absent
+// from a non-nil WireLoads map takes the same flat fallback a nil map would
+// (see Config.WireLoads); it is never silently timed at zero wire
+// capacitance.
+func (g *Graph) netLoads(cfg Config) []float64 {
 	loads := make([]float64, len(g.netNames))
 	for ni, c := range g.connOf {
-		loads[ni] = g.netLoad(cfg, g.netNames[ni], c, evals)
+		var l float64
+		gateSinks := 0
+		for k, s := range c.Sinks {
+			if s.Gate < 0 {
+				l += cfg.PrimaryLoadFF
+				continue
+			}
+			l += g.sinkCin[ni][k]
+			if cfg.WireLoads == nil {
+				l += g.TL.P.CWireFF
+			} else {
+				gateSinks++
+			}
+		}
+		if cfg.WireLoads != nil {
+			if w, ok := cfg.WireLoads[g.netNames[ni]]; ok {
+				l += w
+			} else {
+				l += float64(gateSinks) * g.TL.P.CWireFF
+			}
+		}
+		loads[ni] = l
 	}
 	return loads
 }
 
-// netLoad computes one net's load: sink input-pin caps plus wire
-// capacitance — the per-net WireLoads entry when present, the kit's flat
-// per-gate-sink CWireFF otherwise. A net absent from a non-nil WireLoads
-// map takes the same flat fallback a nil map would (see Config.WireLoads);
-// it is never silently timed at zero wire capacitance.
-func (g *Graph) netLoad(cfg Config, net string, c *netlist.Conn, evals []timinglib.Eval) float64 {
-	var l float64
-	gateSinks := 0
-	for _, s := range c.Sinks {
-		if s.Gate < 0 {
-			l += cfg.PrimaryLoadFF
-			continue
-		}
-		l += evals[s.Gate].CinFF[s.Pin]
-		if cfg.WireLoads == nil {
-			l += g.TL.P.CWireFF
-		} else {
-			gateSinks++
-		}
-	}
-	if cfg.WireLoads != nil {
-		if w, ok := cfg.WireLoads[net]; ok {
-			l += w
-		} else {
-			l += float64(gateSinks) * g.TL.P.CWireFF
-		}
-	}
-	return l
-}
-
-// launchArrival computes the clk->Q seed arrival of a sequential gate,
-// returning the Q-net index. ok is false for combinational gates and flops
-// without a Q connection.
-func (g *Graph) launchArrival(gi int, cfg Config, evals []timinglib.Eval, loads []float64) (int, *arrival, bool) {
-	if g.cells[gi].Kind != stdcell.Seq {
-		return -1, nil, false
-	}
-	qi := g.outIdx[gi]
-	if qi < 0 {
-		return -1, nil, false
-	}
-	dR, sR := g.TL.ArcDelay(evals[gi], true, loads[qi], cfg.InputSlewPS)
-	dF, sF := g.TL.ArcDelay(evals[gi], false, loads[qi], cfg.InputSlewPS)
-	return qi, &arrival{atR: dR, atF: dF, slewR: sR, slewF: sF, fromNetR: -1, fromNetF: -1, valid: true}, true
+// launchArrival computes the clk->Q seed arrival of a flop with
+// evaluation ev driving a Q net of the given load.
+func (g *Graph) launchArrival(cfg Config, ev timinglib.Eval, load float64) arrival {
+	dR, sR := g.TL.ArcDelay(ev, true, load, cfg.InputSlewPS)
+	dF, sF := g.TL.ArcDelay(ev, false, load, cfg.InputSlewPS)
+	return arrival{atR: dR, atF: dF, slewR: sR, slewF: sF, fromNetR: -1, fromNetF: -1, valid: true}
 }
 
 // propagateGate computes one combinational gate's output arrival from the
 // arrivals of its input nets. Input pins are visited in the fixed sorted
 // order prepared by Build, so ties break deterministically.
-func (g *Graph) propagateGate(gi int, ev timinglib.Eval, load float64, arr []*arrival) *arrival {
+func (g *Graph) propagateGate(gi int, ev timinglib.Eval, load float64, arr []arrival) arrival {
 	cell := g.cells[gi]
-	out := &arrival{atR: math.Inf(-1), atF: math.Inf(-1), fromNetR: -1, fromNetF: -1}
+	out := arrival{atR: math.Inf(-1), atF: math.Inf(-1), fromNetR: -1, fromNetF: -1}
 	for _, pn := range g.inputs[gi] {
-		in := arr[pn.idx]
-		if in == nil || !in.valid {
+		in := &arr[pn.idx]
+		if !in.valid {
 			continue // input from an unconstrained source
 		}
+		from := int32(pn.idx)
 		consider := func(inRise bool, inAT, inSlew float64) {
 			for _, outRise := range outSenses(cell.Unate, inRise) {
 				d, os := g.TL.ArcDelay(ev, outRise, load, inSlew)
 				at := inAT + d
 				if outRise && at > out.atR {
 					out.atR, out.slewR = at, os
-					out.fromNetR, out.fromRiseR = pn.idx, inRise
+					out.fromNetR, out.fromRiseR = from, inRise
 				} else if !outRise && at > out.atF {
 					out.atF, out.slewF = at, os
-					out.fromNetF, out.fromRiseF = pn.idx, inRise
+					out.fromNetF, out.fromRiseF = from, inRise
 				}
 			}
 		}
@@ -485,64 +543,64 @@ func (g *Graph) propagateGate(gi int, ev timinglib.Eval, load float64, arr []*ar
 	return out
 }
 
-// finish derives the endpoint view of a result whose arrival map is
+// finish derives the endpoint view of a result whose arrivals are
 // complete: endpoint collection, the slack sort, WNS/TNS and the K worst
-// path backtraces. Shared by Analyze and AnalyzeIncremental so the merged
-// outputs are computed identically.
+// path backtraces. Shared by Analyze and the incremental engine so the
+// merged outputs are computed identically. It reuses the storage of
+// res.Endpoints and res.Paths.
 func (g *Graph) finish(res *Result) error {
-	n := g.Netlist
 	cfg := res.cfg
-	addEndpoint := func(name, net string, required float64) {
-		ni, ok := g.netIdx[net]
-		if !ok {
-			return // endpoint net unknown to the graph
+	eps := res.Endpoints[:0]
+	if eps == nil {
+		eps = make([]Endpoint, 0, len(g.endpoints))
+	}
+	for _, ref := range g.endpoints {
+		a := &res.arr[ref.net]
+		if !a.valid {
+			continue // unconstrained
 		}
-		a := res.arr[ni]
-		if a == nil || !a.valid {
-			return // unconstrained
+		ep := Endpoint{Name: ref.name, Net: g.netNames[ref.net], RequiredPS: cfg.ClockPS}
+		if ref.flop {
+			ep.RequiredPS = cfg.ClockPS - cfg.SetupPS
 		}
-		ep := Endpoint{Name: name, Net: net, RequiredPS: required}
 		if a.atR >= a.atF {
 			ep.ArrivalPS, ep.Rise = a.atR, true
 		} else {
 			ep.ArrivalPS, ep.Rise = a.atF, false
 		}
-		ep.SlackPS = required - ep.ArrivalPS
-		res.Endpoints = append(res.Endpoints, ep)
+		ep.SlackPS = ep.RequiredPS - ep.ArrivalPS
+		eps = append(eps, ep)
 	}
-	for _, po := range n.Outputs {
-		addEndpoint(po, po, cfg.ClockPS)
-	}
-	for gi, gate := range n.Gates {
-		if g.cells[gi].Kind != stdcell.Seq {
-			continue
+	res.Endpoints = eps
+	// Ascending slack, then name (names are unique). Unequal slacks, NaN
+	// included, compare by < alone.
+	slices.SortFunc(eps, func(a, b Endpoint) int {
+		if a.SlackPS != b.SlackPS {
+			if a.SlackPS < b.SlackPS {
+				return -1
+			}
+			return 1
 		}
-		if dNet, ok := gate.Conn["D"]; ok {
-			addEndpoint(gate.Name+"/D", dNet, cfg.ClockPS-cfg.SetupPS)
-		}
-	}
-	sort.Slice(res.Endpoints, func(i, j int) bool {
-		if res.Endpoints[i].SlackPS != res.Endpoints[j].SlackPS {
-			return res.Endpoints[i].SlackPS < res.Endpoints[j].SlackPS
-		}
-		return res.Endpoints[i].Name < res.Endpoints[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
-	if len(res.Endpoints) == 0 {
-		return fmt.Errorf("sta: design %s has no constrained endpoints", n.Name)
+	if len(eps) == 0 {
+		return fmt.Errorf("sta: design %s has no constrained endpoints", g.Netlist.Name)
 	}
-	res.WNS = res.Endpoints[0].SlackPS
-	for _, ep := range res.Endpoints {
+	res.WNS = eps[0].SlackPS
+	res.TNS = 0
+	for _, ep := range eps {
 		if ep.SlackPS < 0 {
 			res.TNS += ep.SlackPS
 		}
 	}
 	// K worst paths (one per endpoint).
-	k := cfg.KPaths
-	if k > len(res.Endpoints) {
-		k = len(res.Endpoints)
+	k := min(cfg.KPaths, len(eps))
+	if cap(res.Paths) < k {
+		res.Paths = make([]Path, k)
 	}
-	for i := 0; i < k; i++ {
-		res.Paths = append(res.Paths, g.backtrace(res, res.Endpoints[i]))
+	res.Paths = res.Paths[:k]
+	for i := range res.Paths {
+		g.backtrace(res, eps[i], &res.Paths[i])
 	}
 	return nil
 }
@@ -559,18 +617,18 @@ func outSenses(u stdcell.Unate, inRise bool) []bool {
 	}
 }
 
-// backtrace reconstructs the critical path into an endpoint.
-func (g *Graph) backtrace(res *Result, ep Endpoint) Path {
-	p := Path{Endpoint: ep.Name, SlackPS: ep.SlackPS, ArrivalPS: ep.ArrivalPS}
+// backtrace reconstructs the critical path into an endpoint, reusing the
+// storage of p.Points.
+func (g *Graph) backtrace(res *Result, ep Endpoint, p *Path) {
+	*p = Path{Endpoint: ep.Name, SlackPS: ep.SlackPS, ArrivalPS: ep.ArrivalPS, Points: p.Points[:0]}
 	ni, ok := g.netIdx[ep.Net]
 	if !ok {
-		return p
+		return
 	}
 	rise := ep.Rise
-	var rev []PathPoint
 	for i := 0; i < len(g.Netlist.Gates)+2; i++ {
-		a := res.arr[ni]
-		if a == nil {
+		a := &res.arr[ni]
+		if !a.valid {
 			break
 		}
 		pt := PathPoint{Net: g.netNames[ni], Rise: rise}
@@ -584,8 +642,8 @@ func (g *Graph) backtrace(res *Result, ep Endpoint) Path {
 			pt.Gate = g.Netlist.Gates[c.Driver.Gate].Name
 			pt.Cell = g.Netlist.Gates[c.Driver.Gate].Cell
 		}
-		rev = append(rev, pt)
-		var fromNet int
+		p.Points = append(p.Points, pt)
+		var fromNet int32
 		var fromRise bool
 		if rise {
 			fromNet, fromRise = a.fromNetR, a.fromRiseR
@@ -595,12 +653,9 @@ func (g *Graph) backtrace(res *Result, ep Endpoint) Path {
 		if fromNet < 0 {
 			break // startpoint (PI or flop Q)
 		}
-		ni, rise = fromNet, fromRise
+		ni, rise = int(fromNet), fromRise
 	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		p.Points = append(p.Points, rev[i])
-	}
-	return p
+	slices.Reverse(p.Points) // startpoint first
 }
 
 // ArrivalOf exposes a net's worst arrival (for tests and reports).
@@ -610,7 +665,7 @@ func (r *Result) ArrivalOf(net string) (ps float64, ok bool) {
 		return 0, false
 	}
 	a := r.arr[ni]
-	if a == nil || !a.valid {
+	if !a.valid {
 		return 0, false
 	}
 	return math.Max(a.atR, a.atF), true

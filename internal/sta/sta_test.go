@@ -277,14 +277,15 @@ func TestBacktraceTiedRiseFallArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := make([]*arrival, len(g.netNames))
-	arr[g.netIdx["a"]] = &arrival{fromNetR: -1, fromNetF: -1, valid: true}
-	arr[g.netIdx["y"]] = &arrival{
+	arr := make([]arrival, len(g.netNames))
+	a := int32(g.netIdx["a"])
+	arr[a] = arrival{fromNetR: -1, fromNetF: -1, valid: true}
+	arr[g.netIdx["y"]] = arrival{
 		atR: 100, atF: 100, slewR: 20, slewF: 20,
 		// Distinct predecessors per sense so the test observes which
 		// one the backtrace followed.
-		fromNetR: g.netIdx["a"], fromRiseR: false,
-		fromNetF: g.netIdx["a"], fromRiseF: true,
+		fromNetR: a, fromRiseR: false,
+		fromNetF: a, fromRiseF: true,
 		valid: true,
 	}
 	res := &Result{g: g, cfg: DefaultConfig(1000), arr: arr}

@@ -41,6 +41,7 @@ func (tl *Lib) WriteLiberty(w io.Writer, lib *stdcell.Library, ann Annotator, sl
 		if err != nil {
 			return err
 		}
+		cin := tl.Cin(cell)
 		fmt.Fprintf(bw, "  cell (%s) {\n", name)
 		fmt.Fprintf(bw, "    cell_leakage_power : %.4f;\n", ev.LeakNW)
 		if cell.Kind == stdcell.Seq {
@@ -49,7 +50,7 @@ func (tl *Lib) WriteLiberty(w io.Writer, lib *stdcell.Library, ann Annotator, sl
 		for _, in := range cell.Inputs {
 			fmt.Fprintf(bw, "    pin (%s) {\n", in)
 			fmt.Fprintf(bw, "      direction : input;\n")
-			fmt.Fprintf(bw, "      capacitance : %.4f;\n", ev.CinFF[in])
+			fmt.Fprintf(bw, "      capacitance : %.4f;\n", cin[in])
 			fmt.Fprintf(bw, "    }\n")
 		}
 		fmt.Fprintf(bw, "    pin (%s) {\n", cell.Output)

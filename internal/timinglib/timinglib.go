@@ -57,11 +57,9 @@ func Guardband(deltaNM float64) Annotator {
 }
 
 // Eval holds the evaluated electrical view of one cell (for one
-// annotation).
+// annotation): the numbers that depend on the annotated lengths. Input
+// capacitance depends only on drawn geometry; see Lib.Cin.
 type Eval struct {
-	// CinFF maps input pin -> capacitance (fF). Cin depends only on drawn
-	// geometry, so every Eval of a cell shares one map: read-only.
-	CinFF map[string]float64
 	// IRiseUA and IFallUA are the effective pull-up/pull-down currents
 	// (µA) driving output rise and fall.
 	IRiseUA, IFallUA float64
@@ -70,20 +68,26 @@ type Eval struct {
 	RcRiseOhm, RcFallOhm float64
 	// LeakNW is the cell's static leakage (nW).
 	LeakNW float64
-	// Cell is the evaluated master.
-	Cell *stdcell.Info
 }
 
 // Lib computes cell timing for a library.
 type Lib struct {
-	// Dev is the device model.
+	// Dev is the device model. It must not change once Evaluate or Cin
+	// has run: each cell's drawn-length Eval is computed from it once.
 	Dev device.Model
 	// P is the kit's electrical parameter block. It must not change once
-	// Evaluate has run: the per-cell input capacitances are computed from
-	// it once.
+	// Evaluate or Cin has run: the per-cell input capacitances are
+	// computed from it once.
 	P pdk.Device
 
-	cin sync.Map // *stdcell.Info -> map[string]float64, see cinOf
+	cells sync.Map // *stdcell.Info -> *cellView, see view
+}
+
+// cellView is what a Lib computes once per cell and shares, read-only,
+// with every caller: the input-pin capacitances and the drawn-length Eval.
+type cellView struct {
+	cin   map[string]float64
+	drawn Eval
 }
 
 // New builds the timing library for a kit.
@@ -91,15 +95,25 @@ func New(p *pdk.PDK) *Lib {
 	return &Lib{Dev: device.New(p.Device), P: p.Device}
 }
 
-// Evaluate computes the electrical view of a cell under an annotation.
+// Evaluate computes the electrical view of a cell under an annotation. A
+// nil annotator is drawn timing: the cell's drawn Eval is computed once,
+// on the cell's first use, by the same code as Evaluate(cell, Drawn), and
+// returned from then on.
 func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if cell.Kind == stdcell.Fill {
 		return Eval{}, fmt.Errorf("timinglib: fill cell %s has no timing", cell.Name)
 	}
 	if ann == nil {
-		ann = Drawn
+		return tl.view(cell).drawn, nil
 	}
-	ev := Eval{CinFF: tl.cinOf(cell), Cell: cell}
+	return tl.evaluate(cell, ann), nil
+}
+
+// evaluate is Evaluate's model: drive and contact resistance per network
+// at the annotated delay lengths, leakage at the annotated leakage
+// lengths.
+func (tl *Lib) evaluate(cell *stdcell.Info, ann Annotator) Eval {
+	var ev Eval
 	var inUA, ipUA float64 // summed drive per network
 	var rcN, rcP float64   // summed contact resistance per network
 	var nN, nP int
@@ -129,24 +143,30 @@ func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if nP > 0 {
 		ev.RcRiseOhm = rcP / float64(nP) * float64(maxI(cell.StackedP, 1))
 	}
-	return ev, nil
+	return ev
 }
 
-// cinOf returns the cell's input-pin capacitances, computed on the first
-// call for the cell and shared by every later one: the gate-area term per
-// µm of width, summed per pin in layout order. The drawn length is the poly
-// the driver must charge, so no annotation enters.
-func (tl *Lib) cinOf(cell *stdcell.Info) map[string]float64 {
-	if m, ok := tl.cin.Load(cell); ok {
-		return m.(map[string]float64)
+// Cin returns the cell's input-pin capacitances (fF by pin name): the
+// gate-area term per µm of width, summed per pin in layout order. The
+// drawn length is the poly the driver must charge, so no annotation
+// enters. The map is computed on the first use of the cell and shared by
+// every caller: read-only.
+func (tl *Lib) Cin(cell *stdcell.Info) map[string]float64 {
+	return tl.view(cell).cin
+}
+
+// view returns the cell's shared view, computing it on first use.
+func (tl *Lib) view(cell *stdcell.Info) *cellView {
+	if v, ok := tl.cells.Load(cell); ok {
+		return v.(*cellView)
 	}
-	m := map[string]float64{}
+	v := &cellView{cin: map[string]float64{}, drawn: tl.evaluate(cell, Drawn)}
 	for _, g := range cell.Layout.Gates {
 		wUm := float64(g.W()) / 1000
-		m[g.Pin] += tl.P.CGateFFUM * wUm
+		v.cin[g.Pin] += tl.P.CGateFFUM * wUm
 	}
-	shared, _ := tl.cin.LoadOrStore(cell, m)
-	return shared.(map[string]float64)
+	shared, _ := tl.cells.LoadOrStore(cell, v)
+	return shared.(*cellView)
 }
 
 // Timing constants of the CV/I model.

@@ -37,12 +37,13 @@ func TestEvaluateInverter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.CinFF["A"] <= 0 {
+	cin := tl.Cin(inv)["A"]
+	if cin <= 0 {
 		t.Fatal("input cap must be positive")
 	}
 	// X1 inverter input cap ~ (0.52+0.78)µm × 1.6fF/µm ≈ 2.1fF.
-	if ev.CinFF["A"] < 1 || ev.CinFF["A"] > 4 {
-		t.Fatalf("Cin = %.2f fF implausible", ev.CinFF["A"])
+	if cin < 1 || cin > 4 {
+		t.Fatalf("Cin = %.2f fF implausible", cin)
 	}
 	if ev.IFallUA <= 0 || ev.IRiseUA <= 0 {
 		t.Fatal("drive currents must be positive")
@@ -108,7 +109,7 @@ func TestArcDelayMonotoneInLoad(t *testing.T) {
 func TestArcDelayFO4Plausible(t *testing.T) {
 	lib, tl := env(t)
 	ev, _ := tl.Evaluate(lib.Cells["INV_X1"], nil)
-	fo4 := 4 * ev.CinFF["A"]
+	fo4 := 4 * tl.Cin(lib.Cells["INV_X1"])["A"]
 	d, _ := tl.ArcDelay(ev, false, fo4, 30)
 	// 90nm FO4 is ~25-45ps; our synthetic kit should land in the same
 	// decade.
@@ -128,10 +129,6 @@ func TestAnnotationChangesDriveAndLeak(t *testing.T) {
 	}
 	if !(short.LeakNW > nom.LeakNW && nom.LeakNW > long.LeakNW) {
 		t.Fatal("leak vs L ordering")
-	}
-	// Input cap is drawn-geometry based: unchanged by annotation.
-	if short.CinFF["A"] != nom.CinFF["A"] {
-		t.Fatal("annotation must not change input cap")
 	}
 }
 
@@ -188,11 +185,58 @@ func TestDrawnAnnotator(t *testing.T) {
 	}
 }
 
+// evalBitsEqual compares two Evals bit for bit in every field.
+func evalBitsEqual(a, b Eval) bool {
+	bits := func(e Eval) [5]uint64 {
+		return [5]uint64{
+			math.Float64bits(e.IRiseUA), math.Float64bits(e.IFallUA),
+			math.Float64bits(e.RcRiseOhm), math.Float64bits(e.RcFallOhm),
+			math.Float64bits(e.LeakNW),
+		}
+	}
+	return bits(a) == bits(b)
+}
+
+// TestEvaluateNilIsDrawn checks the per-cell drawn Eval: on a fresh Lib,
+// where the nil evaluation computes it, and on a warmed one, where it is
+// returned from the cache, Evaluate(c, nil) equals Evaluate(c, Drawn) bit
+// for bit for every timed cell. Fill cells still have no timing.
+func TestEvaluateNilIsDrawn(t *testing.T) {
+	lib, _ := env(t)
+	fresh, warmed := New(lib.PDK), New(lib.PDK)
+	for _, name := range lib.Names() {
+		warmed.Cin(lib.Cells[name])
+	}
+	for _, name := range lib.Names() {
+		c := lib.Cells[name]
+		for _, tl := range []*Lib{fresh, warmed} {
+			nilEv, err := tl.Evaluate(c, nil)
+			if c.Kind == stdcell.Fill {
+				if err == nil {
+					t.Fatalf("fill cell %s evaluated", name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			drawn, err := tl.Evaluate(c, Drawn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !evalBitsEqual(nilEv, drawn) {
+				t.Fatalf("cell %s: Evaluate(nil) %+v, Evaluate(Drawn) %+v", name, nilEv, drawn)
+			}
+		}
+	}
+}
+
 // TestEvaluateConcurrentMatchesSerial evaluates every timed cell from
 // several goroutines at once on a fresh Lib, so they race to fill the
-// per-cell Cin cache, and compares each result with a serial evaluation on
-// another Lib. Every Eval of a cell must share one Cin map. Run under -race
-// (make race) to check the sharing itself.
+// per-cell view (Cin map and drawn Eval), and compares each result with a
+// serial evaluation on another Lib. Every caller must get the one shared
+// Cin map of a cell through Lib.Cin. Run under -race (make race) to check
+// the sharing itself.
 func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
 	lib, _ := env(t)
 	var cells []*stdcell.Info
@@ -204,6 +248,7 @@ func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
 	anns := []Annotator{nil, Uniform(84), Guardband(6)}
 	serial := New(lib.PDK)
 	want := make([][]Eval, len(cells))
+	wantCin := make([]map[string]float64, len(cells))
 	for i, c := range cells {
 		for _, ann := range anns {
 			ev, err := serial.Evaluate(c, ann)
@@ -212,20 +257,27 @@ func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
 			}
 			want[i] = append(want[i], ev)
 		}
+		wantCin[i] = serial.Cin(c)
 	}
 
 	tl := New(lib.PDK)
 	const workers = 4
 	got := make([][][]Eval, workers)
+	gotCin := make([][]map[string]float64, workers)
 	var wg sync.WaitGroup
 	for w := range got {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			got[w] = make([][]Eval, len(cells))
-			// Each worker walks the cells from a different start.
+			gotCin[w] = make([]map[string]float64, len(cells))
+			// Each worker walks the cells from a different start, and
+			// odd workers ask for Cin before evaluating.
 			for k := range cells {
 				i := (k + w*len(cells)/workers) % len(cells)
+				if w%2 == 1 {
+					gotCin[w][i] = tl.Cin(cells[i])
+				}
 				for _, ann := range anns {
 					ev, err := tl.Evaluate(cells[i], ann)
 					if err != nil {
@@ -233,6 +285,9 @@ func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
 						return
 					}
 					got[w][i] = append(got[w][i], ev)
+				}
+				if w%2 == 0 {
+					gotCin[w][i] = tl.Cin(cells[i])
 				}
 			}
 		}(w)
@@ -246,11 +301,11 @@ func TestEvaluateConcurrentMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(got[w][i], want[i]) {
 				t.Fatalf("worker %d, cell %s: concurrent %+v, serial %+v", w, c.Name, got[w][i], want[i])
 			}
-			shared := reflect.ValueOf(got[0][i][0].CinFF).Pointer()
-			for _, ev := range got[w][i] {
-				if reflect.ValueOf(ev.CinFF).Pointer() != shared {
-					t.Fatalf("worker %d, cell %s: Eval has its own Cin map", w, c.Name)
-				}
+			if !reflect.DeepEqual(gotCin[w][i], wantCin[i]) {
+				t.Fatalf("worker %d, cell %s: concurrent Cin %v, serial %v", w, c.Name, gotCin[w][i], wantCin[i])
+			}
+			if reflect.ValueOf(gotCin[w][i]).Pointer() != reflect.ValueOf(gotCin[0][i]).Pointer() {
+				t.Fatalf("worker %d, cell %s: got its own Cin map", w, c.Name)
 			}
 		}
 	}
