@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif race bench bench-smoke bench-kernel bench-obs bench-sta bench-throughput bench-diff check
+.PHONY: build test vet lint lint-sarif race examples bench bench-smoke bench-kernel bench-obs bench-sta bench-throughput bench-diff check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ lint-sarif:
 
 test:
 	$(GO) test ./...
+
+# Run every example end to end: they are the entry points a reader copies,
+# so each must still exit 0 (about 12 s for all five on a 2-vCPU host).
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Explicit timeout: the flow suite alone runs ~9-10 min under the
 # detector, right at go test's 600s per-binary default. The second line
@@ -74,10 +82,10 @@ bench-sta:
 	$(GO) test -short -run=NONE -bench=MultiCornerSTA -benchtime=1x .
 
 # The full pre-merge gate: compile everything, vet, run the domain lint
-# suite, run the tests, then run them again under the race detector (the
-# parallel extraction / ORC / Monte Carlo paths are exercised concurrently
-# by the flow tests).
-check: build vet lint test race
+# suite, run the tests and the examples, then run the tests again under the
+# race detector (the parallel extraction / ORC / Monte Carlo paths are
+# exercised concurrently by the flow tests).
+check: build vet lint test examples race
 
 # Window-path throughput smoke: one iteration of the windows/sec/core
 # bench on the -short repeated-context strip (batch sizes 1 and 16, cache

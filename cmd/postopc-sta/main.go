@@ -177,7 +177,10 @@ func main() {
 	paths.Fprint(os.Stdout)
 
 	if *contacts {
+		// The area ratios are summed in the sorted order of res.Tagged, so
+		// the mean does not depend on map iteration order.
 		cext := map[string]*flow.ContactExtraction{}
+		var meanRatio float64
 		for _, name := range res.Tagged {
 			inst := res.Place.Chip.FindInstance(name)
 			ce, err := f.ExtractContacts(res.Place.Chip, inst, flow.VariationCorners(p.Window)[1])
@@ -185,15 +188,12 @@ func main() {
 				fatal(err)
 			}
 			cext[name] = ce
+			meanRatio += ce.MeanAreaRatio
 		}
 		ann := f.WithContacts(flow.Annotations(res.Extractions, 0), cext)
 		withRc, err := res.Graph.Analyze(cfg, ann)
 		if err != nil {
 			fatal(err)
-		}
-		var meanRatio float64
-		for _, ce := range cext {
-			meanRatio += ce.MeanAreaRatio
 		}
 		meanRatio /= float64(len(cext))
 		fmt.Printf("multi-layer: contact area ratio %.3f at defocus -> WNS %.1fps (poly-only: %.1fps)\n",

@@ -50,9 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sweep, err := f.SelectiveSweep(pl.Chip, g, drawn, cfg, flow.SelectiveOptions{
-		Ks: []int{0, 1, 2, 4, 8},
-	})
+	sweep, err := f.SelectiveSweep(pl.Chip, g, drawn, cfg, []int{0, 1, 2, 4, 8})
 	if err != nil {
 		log.Fatal(err)
 	}

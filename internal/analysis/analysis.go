@@ -70,17 +70,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.getObject(obj, fact)
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.setPackage(p.Pkg.Path(), fact)
-}
-
-// ImportPackageFact copies the package fact of *fact's concrete type
-// attached to pkg into fact, reporting whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.getPackage(pkg.Path(), fact)
-}
-
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
 	// Pos is the anchor position.
@@ -106,21 +95,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Run applies one analyzer to a type-checked package and returns its
-// findings with nolint suppressions already dropped, sorted by position.
-// Facts exported by the analyzer are discarded; drivers that thread facts
-// between packages use RunWithFacts.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	return RunWithFacts(a, fset, files, pkg, info, NewFacts())
-}
-
-// RunWithFacts is Run with an explicit fact store: imported facts are
-// resolved from it, exported facts are added to it. The store may be
-// shared by concurrent passes.
+// RunWithFacts applies one analyzer to a type-checked package and returns
+// its findings with nolint suppressions already dropped, sorted by
+// position. Imported facts are resolved from the fact store and exported
+// facts are added to it; the store may be shared by concurrent passes.
 func RunWithFacts(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *Facts) ([]Finding, error) {
-	if facts == nil {
-		facts = NewFacts()
-	}
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,

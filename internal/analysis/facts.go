@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// Facts: typed values an analyzer attaches to objects or packages while
-// analyzing one package, visible to later analyses of packages that import
-// it. They are the channel that turns single-package syntactic passes into
+// Facts: typed values an analyzer attaches to objects while analyzing one
+// package, visible to later analyses of packages that import it. They are
+// the channel that turns single-package syntactic passes into
 // whole-program checks — keycover learns which foreign types carry a
 // complete AppendKey serialization, allocbudget learns which foreign
 // functions are declared allocation-free — without ever re-analyzing a
@@ -22,9 +22,9 @@ import (
 // store, and the loader's shared importer preserves object identity
 // across packages, so facts are never serialized.
 
-// Fact is a value attached to an object or package by one analyzer and
-// importable by later passes over importing packages. Implementations must
-// be pointers to structs.
+// Fact is a value attached to an object by one analyzer and importable by
+// later passes over importing packages. Implementations must be pointers
+// to structs.
 type Fact interface {
 	// AFact marks the type as a fact; it is never called.
 	AFact()
@@ -38,23 +38,16 @@ type objFactKey struct {
 	t   reflect.Type
 }
 
-// pkgFactKey identifies one package fact.
-type pkgFactKey struct {
-	path string
-	t    reflect.Type
-}
-
-// Facts is a concurrency-safe store of object and package facts shared by
-// every pass of one driver run.
+// Facts is a concurrency-safe store of object facts shared by every pass
+// of one driver run.
 type Facts struct {
 	mu  sync.RWMutex
 	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
 }
 
 // NewFacts returns an empty store.
 func NewFacts() *Facts {
-	return &Facts{obj: map[objFactKey]Fact{}, pkg: map[pkgFactKey]Fact{}}
+	return &Facts{obj: map[objFactKey]Fact{}}
 }
 
 // factType validates the fact's dynamic type (pointer to struct) and
@@ -82,27 +75,6 @@ func (f *Facts) getObject(obj types.Object, fact Fact) bool {
 	k := objFactKey{obj, factType(fact)}
 	f.mu.RLock()
 	stored, ok := f.obj[k]
-	f.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-// setPackage stores a package fact.
-func (f *Facts) setPackage(path string, fact Fact) {
-	k := pkgFactKey{path, factType(fact)}
-	f.mu.Lock()
-	f.pkg[k] = fact
-	f.mu.Unlock()
-}
-
-// getPackage copies the stored package fact of *fact's type into fact.
-func (f *Facts) getPackage(path string, fact Fact) bool {
-	k := pkgFactKey{path, factType(fact)}
-	f.mu.RLock()
-	stored, ok := f.pkg[k]
 	f.mu.RUnlock()
 	if !ok {
 		return false

@@ -7,6 +7,14 @@
 // fixed by hand in flow.Run (extraction results keyed by gate name were
 // collected into the Tagged list in map order); the fix — append, then
 // sort — is recognized by this analyzer and not flagged.
+//
+// Floating-point accumulation is the same bug in numeric form: float
+// addition is not associative, so `sum += v` over a map gives a sum whose
+// low bits depend on the iteration order. A compound assignment (+=, -=,
+// *=, /=) to a float or complex value declared outside the loop is
+// flagged. Integer accumulation is exact and stays allowed, and so is a
+// target indexed by the loop's key (acc[k] /= n), which only one iteration
+// touches.
 package maporder
 
 import (
@@ -24,7 +32,9 @@ var Analyzer = &analysis.Analyzer{
 		"A range over a map observes a randomized order. Appending to a slice\n" +
 		"is allowed only when the slice is deterministically sorted later in\n" +
 		"the same block; report-row building and stream writes inside the loop\n" +
-		"are always flagged because their order is fixed at emission time.",
+		"are always flagged because their order is fixed at emission time, and\n" +
+		"so is floating-point accumulation into a value declared outside the\n" +
+		"loop, whose rounding depends on the order.",
 	Run: run,
 }
 
@@ -85,6 +95,9 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, rest []ast.Stmt) {
 					pass.Reportf(n.Pos(), "append to %s inside a map-range loop without a deterministic sort afterwards; map iteration order is randomized", target.Name)
 				}
 			}
+			if target := floatAccumulator(pass, n, rng); target != nil {
+				pass.Reportf(n.Pos(), "floating-point %s into %s inside a map-range loop rounds differently in each randomized map order; accumulate over sorted keys", n.Tok, target.Name)
+			}
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
 				if why := emitsOrderedOutput(pass, call); why != "" {
@@ -118,6 +131,49 @@ func appendTarget(pass *analysis.Pass, as *ast.AssignStmt) *ast.Ident {
 		return nil
 	}
 	return lhs
+}
+
+// floatAccumulator returns the root variable of an `x op= v` statement (op
+// one of + - * /) whose target is a float or complex value declared outside
+// rng and not indexed by rng's key, or nil if the statement is not one.
+func floatAccumulator(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt) *ast.Ident {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return nil
+	}
+	b, ok := pass.TypesInfo.TypeOf(as.Lhs[0]).Underlying().(*types.Basic)
+	if !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return nil
+	}
+	var key types.Object
+	if id, ok := rng.Key.(*ast.Ident); ok {
+		key = pass.TypesInfo.ObjectOf(id)
+	}
+	// Walk the selector, index and dereference chain to its root variable
+	// (st in st.sum, acc in acc[i]).
+	e := as.Lhs[0]
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			obj := pass.TypesInfo.ObjectOf(x)
+			if obj == nil || obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
+				return nil // accumulator local to the loop body
+			}
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			if id, ok := ast.Unparen(x.Index).(*ast.Ident); ok && key != nil && pass.TypesInfo.ObjectOf(id) == key {
+				return nil // one element per map key: a single iteration touches it
+			}
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // sortedAfter reports whether any statement in rest sorts obj via the sort

@@ -71,3 +71,65 @@ func suppressed(m map[string]int) []string {
 	}
 	return keys
 }
+
+func badFloatSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v // want `floating-point \+= into sum inside a map-range loop`
+	}
+	return sum
+}
+
+type siteStats struct{ meanCD []float64 }
+
+type cdStats struct{ absErr float64 }
+
+func badNestedFieldSum(m map[string]siteStats, st *cdStats) {
+	for _, s := range m {
+		for _, cd := range s.meanCD {
+			st.absErr -= cd // want `floating-point -= into st inside a map-range loop`
+		}
+	}
+}
+
+func goodFloatSumSorted(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k] // slice order is deterministic
+	}
+	return sum
+}
+
+func goodIntCount(m map[string][]float64) int {
+	n := 0
+	for _, vs := range m {
+		n += len(vs) // integer sums are exact in any order
+	}
+	return n
+}
+
+func goodPerKeyMean(sums map[string]float64, counts map[string]int) {
+	for k, c := range counts {
+		sums[k] /= float64(c) // one element per key: no other iteration touches it
+	}
+}
+
+type lengths struct{ delayL, leakL float64 }
+
+func goodClosureLocal(m map[string]func() lengths, sigma float64) map[string]func() lengths {
+	out := map[string]func() lengths{}
+	for k, f := range m {
+		out[k] = func() lengths {
+			l := f()
+			l.delayL += sigma // accumulator local to a closure built in the loop
+			l.leakL += sigma
+			return l
+		}
+	}
+	return out
+}

@@ -44,8 +44,6 @@ func Annotations(extrs map[string]*GateExtraction, ci int) sta.Annotations {
 type RunOptions struct {
 	// STA boundary conditions.
 	STA sta.Config
-	// Place options.
-	Place place.Options
 	// Mode is the OPC applied during extraction.
 	Mode OPCMode
 	// Corners for extraction (default Nominal only).
@@ -93,7 +91,7 @@ func (f *Flow) Run(n *netlist.Netlist, opt RunOptions) (*RunResult, error) {
 	root := f.Obs.Start("flow.run")
 	defer root.End()
 	sp := f.Obs.StartChild("flow.place", root.ID())
-	pl, err := f.Place(n, opt.Place)
+	pl, err := f.Place(n, place.Options{})
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -159,32 +159,9 @@ func TestVerifyChipCachedMatchesUncached(t *testing.T) {
 // incremental under the cache, and its results identical to the uncached
 // sweep.
 func TestSelectiveSweepCached(t *testing.T) {
-	design := netlist.RippleCarryAdder(2)
-	run := func(f *Flow) *SelectiveResult {
-		t.Helper()
-		pl, err := f.Place(design, place.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := f.BuildGraph(design)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sta.DefaultConfig(1500)
-		cfg.KPaths = 10
-		drawn, err := g.Analyze(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.SelectiveSweep(pl.Chip, g, drawn, cfg, SelectiveOptions{Ks: []int{0, 1, 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(newFastFlow(t))
+	plain := selectiveSweepRCA2(t, newFastFlow(t))
 	cachedF := newFastFlow(t).EnableCache(0)
-	cached := run(cachedF)
+	cached := selectiveSweepRCA2(t, cachedF)
 
 	if len(plain.Steps) != len(cached.Steps) {
 		t.Fatalf("step counts differ: %d vs %d", len(plain.Steps), len(cached.Steps))

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"postopc/internal/cache"
+	"postopc/internal/cdx"
 	"postopc/internal/geom"
 	"postopc/internal/layout"
 	"postopc/internal/litho"
@@ -63,13 +64,8 @@ type Flow struct {
 	OPCModelSim litho.Model
 	// VerifySim drives extraction/verification (the accurate model).
 	VerifySim litho.Model
-	// OPCOpt configures model-based OPC.
-	OPCOpt opc.Options
 	// CDX configures gate CD extraction.
-	CDX cdxOptions
-	// RuleTab optionally pre-seeds the rule-based OPC deck; when nil the
-	// deck is built lazily (and race-safely) on first use.
-	RuleTab *opc.RuleTable
+	CDX cdx.Options
 	// Cache, when non-nil, memoizes window and tile artifacts by content
 	// signature (see signature.go): repeated layout contexts — and repeated
 	// extractions of the same gates across sweep iterations — are recalled
@@ -110,12 +106,6 @@ type deviceModel = interface {
 	AppendKey(dst []byte) []byte
 }
 
-type cdxOptions struct {
-	Slices       int
-	ScanHalfNM   float64
-	EdgeMarginNM float64
-}
-
 // Config selects the simulation accuracy profile.
 type Config struct {
 	// Fast uses the Gaussian model for verification too — for tests and
@@ -149,8 +139,7 @@ func New(p *pdk.PDK, cfg Config) (*Flow, error) {
 		Dev:         tl.Dev,
 		OPCModelSim: gauss,
 		VerifySim:   verify,
-		OPCOpt:      opc.DefaultOptions(),
-		CDX: cdxOptions{
+		CDX: cdx.Options{
 			Slices:       7,
 			ScanHalfNM:   float64(p.Rules.PolyPitchNM) / 2,
 			EdgeMarginNM: 25,
@@ -219,9 +208,6 @@ func (f *Flow) BuildGraph(n *netlist.Netlist) (*sta.Graph, error) {
 // ruleTable returns the rule-based OPC deck, building it from the OPC model
 // exactly once — safe for concurrent callers.
 func (f *Flow) ruleTable() (*opc.RuleTable, error) {
-	if f.RuleTab != nil {
-		return f.RuleTab, nil
-	}
 	f.lazy.ruleOnce.Do(func() {
 		w := f.PDK.Rules.GateLengthNM
 		spaces := []geom.Coord{

@@ -64,6 +64,18 @@ type Hotspot struct {
 	Gate string
 }
 
+// ORC scan constants.
+const (
+	// orcPinchFrac is the fraction of drawn width below which a printed CD
+	// is a pinch.
+	orcPinchFrac = 0.6
+	// orcStepNM is the scan step along features.
+	orcStepNM = 120.0
+	// orcEndExclusionNM keeps CD scans away from line ends, which the
+	// pullback check judges instead.
+	orcEndExclusionNM = 160.0
+)
+
 // ORCOptions configure full-chip verification.
 type ORCOptions struct {
 	// TileNM is the tile size (default 6000nm); each tile is simulated
@@ -74,18 +86,6 @@ type ORCOptions struct {
 	Corners []litho.Corner
 	// Mode is the OPC applied per tile before imaging.
 	Mode OPCMode
-	// PinchFrac is the fraction of drawn width below which a printed CD
-	// is a pinch (default 0.6).
-	PinchFrac float64
-	// StepNM is the scan step along features (default 120nm).
-	StepNM float64
-	// EndExclusionNM keeps CD scans away from line ends, which are judged
-	// by the pullback check instead (default 160nm).
-	EndExclusionNM float64
-	// MaxPullbackNM is the tolerated line-end pullback (default: the
-	// kit's poly endcap extension minus 20nm — more than that and the
-	// retreat threatens the channel).
-	MaxPullbackNM float64
 	// Workers bounds tile-level concurrency (0 = GOMAXPROCS, 1 = serial).
 	// The report is identical for every worker count: tiles are merged in
 	// row-major order before hotspots are sorted.
@@ -117,24 +117,9 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 	if len(opt.Corners) == 0 {
 		opt.Corners = f.PDK.Window.Corners()
 	}
-	if opt.PinchFrac <= 0 {
-		opt.PinchFrac = 0.6
-	}
-	if opt.StepNM <= 0 {
-		opt.StepNM = 120
-	}
-	if opt.EndExclusionNM <= 0 {
-		opt.EndExclusionNM = 160
-	}
-	if opt.MaxPullbackNM <= 0 {
-		opt.MaxPullbackNM = float64(f.PDK.Rules.PolyExtNM) - 20
-	}
-	scan := orcScanOptions{
-		PinchFrac:      opt.PinchFrac,
-		StepNM:         opt.StepNM,
-		EndExclusionNM: opt.EndExclusionNM,
-		MaxPullbackNM:  opt.MaxPullbackNM,
-	}
+	// The tolerated line-end pullback: the kit's poly endcap extension
+	// minus 20nm — more than that and the retreat threatens the channel.
+	maxPullbackNM := float64(f.PDK.Rules.PolyExtNM) - 20
 	die := chip.Die
 	// Build shared state up front so the tile workers only read: the
 	// chip's spatial index and the stage environment (with the OPC deck
@@ -162,7 +147,7 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 	sp := f.Obs.Start("flow.orc")
 	n := len(tiles)
 	job := &orcTiles{
-		env: env, chip: chip, tiles: tiles, guard: guard, corners: opt.Corners, scan: scan, parent: sp.ID(),
+		env: env, chip: chip, tiles: tiles, guard: guard, corners: opt.Corners, maxPullbackNM: maxPullbackNM, parent: sp.ID(),
 		origins: make([]geom.Point, n), rects: make([][]geom.Rect, n),
 		windows: make([]geom.Rect, n), interiors: make([]geom.Rect, n),
 	}
@@ -200,15 +185,15 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 // orcTiles is the ORC job of the window path: one window per tile, the
 // tile grown by the optical guard band and a poly pitch.
 type orcTiles struct {
-	env     *stageEnv
-	chip    *layout.Chip
-	tiles   []geom.Rect // chip coordinates, row-major
-	guard   geom.Coord
-	corners []litho.Corner
-	scan    orcScanOptions
-	parent  obs.SpanID
-	origins []geom.Point  // canonical origin of each tile's window
-	rects   [][]geom.Rect // canonical clipped poly rects
+	env           *stageEnv
+	chip          *layout.Chip
+	tiles         []geom.Rect // chip coordinates, row-major
+	guard         geom.Coord
+	corners       []litho.Corner
+	maxPullbackNM float64
+	parent        obs.SpanID
+	origins       []geom.Point  // canonical origin of each tile's window
+	rects         [][]geom.Rect // canonical clipped poly rects
 	// windows and interiors are each tile's window and tile in canonical
 	// coordinates.
 	windows, interiors []geom.Rect
@@ -232,7 +217,7 @@ func (j *orcTiles) prep(i int, rec *obs.WindowRecord) (bool, error) {
 }
 
 func (j *orcTiles) sign(i int) cache.Key {
-	return tileSignature(j.env, j.rects[i], j.windows[i], j.interiors[i], j.corners, j.scan)
+	return tileSignature(j.env, j.rects[i], j.windows[i], j.interiors[i], j.corners, j.maxPullbackNM)
 }
 
 func (j *orcTiles) mask(i int, rec *obs.WindowRecord) ([]geom.Polygon, geom.Rect, error) {
@@ -241,7 +226,7 @@ func (j *orcTiles) mask(i int, rec *obs.WindowRecord) ([]geom.Polygon, geom.Rect
 }
 
 func (j *orcTiles) finish(i int, imgs []*litho.Image, _ *obs.WindowRecord) *TileArtifact {
-	return stageTileArtifact(j.env, imgs, j.rects[i], j.interiors[i], j.corners, j.scan)
+	return stageTileArtifact(j.env, imgs, j.rects[i], j.interiors[i], j.corners, j.maxPullbackNM)
 }
 
 // wrap returns a tile's error as it is: ORC errors carry no tile name.
@@ -251,7 +236,7 @@ func (j *orcTiles) wrap(_ int, err error) error { return err }
 // CD across it. Coordinates are canonical (window-relative); hotspots go to
 // the tile artifact with Gate unresolved.
 func scanPinches(env *stageEnv, im *litho.Image, rects []geom.Rect,
-	tile geom.Rect, th float64, corner litho.Corner, scan orcScanOptions, art *TileArtifact) {
+	tile geom.Rect, th float64, corner litho.Corner, maxPullbackNM float64, art *TileArtifact) {
 	recipe := env.Verify.Recipe()
 	for _, r := range rects {
 		vertical := r.H() >= r.W()
@@ -261,16 +246,16 @@ func scanPinches(env *stageEnv, im *litho.Image, rects []geom.Rect,
 		} else {
 			drawnW = r.H()
 		}
-		minCD := scan.PinchFrac * float64(drawnW)
+		minCD := orcPinchFrac * float64(drawnW)
 		scanHalf := float64(drawnW) * 2.5
 		length := r.H()
 		if !vertical {
 			length = r.W()
 		}
 		// CD scans stay away from the ends (judged by the pullback check).
-		lo := scan.EndExclusionNM
-		hi := float64(length) - scan.EndExclusionNM
-		steps := int((hi-lo)/scan.StepNM) + 1
+		lo := orcEndExclusionNM
+		hi := float64(length) - orcEndExclusionNM
+		steps := int((hi-lo)/orcStepNM) + 1
 		// Report at most one pinch per feature per corner: the worst scan.
 		worst := Hotspot{CDNM: math.Inf(1)}
 		found := false
@@ -308,7 +293,7 @@ func scanPinches(env *stageEnv, im *litho.Image, rects []geom.Rect,
 		if found {
 			art.Hotspots = append(art.Hotspots, worst)
 		}
-		scanPullback(env, im, r, vertical, tile, th, corner, scan, art)
+		scanPullback(env, im, r, vertical, tile, th, corner, maxPullbackNM, art)
 	}
 }
 
@@ -317,13 +302,13 @@ func scanPinches(env *stageEnv, im *litho.Image, rects []geom.Rect,
 // features (strips) have meaningful line ends; squares are judged by the
 // pinch check alone.
 func scanPullback(env *stageEnv, im *litho.Image, r geom.Rect, vertical bool,
-	tile geom.Rect, th float64, corner litho.Corner, scan orcScanOptions, art *TileArtifact) {
+	tile geom.Rect, th float64, corner litho.Corner, maxPullbackNM float64, art *TileArtifact) {
 	recipe := env.Verify.Recipe()
 	length := r.H()
 	if !vertical {
 		length = r.W()
 	}
-	if float64(length) < 3*scan.EndExclusionNM {
+	if float64(length) < 3*orcEndExclusionNM {
 		return
 	}
 	var res litho.CDResult
@@ -331,14 +316,14 @@ func scanPullback(env *stageEnv, im *litho.Image, r geom.Rect, vertical bool,
 	if vertical {
 		cx := float64(r.X0+r.X1) / 2
 		mid := float64(r.Y0+r.Y1) / 2
-		res = im.MeasureCD(litho.AxisY, cx, float64(r.Y0)-2*scan.MaxPullbackNM,
-			float64(r.Y1)+2*scan.MaxPullbackNM, mid, th, recipe.Polarity)
+		res = im.MeasureCD(litho.AxisY, cx, float64(r.Y0)-2*maxPullbackNM,
+			float64(r.Y1)+2*maxPullbackNM, mid, th, recipe.Polarity)
 		drawnLo, drawnHi = float64(r.Y0), float64(r.Y1)
 	} else {
 		cy := float64(r.Y0+r.Y1) / 2
 		mid := float64(r.X0+r.X1) / 2
-		res = im.MeasureCD(litho.AxisX, cy, float64(r.X0)-2*scan.MaxPullbackNM,
-			float64(r.X1)+2*scan.MaxPullbackNM, mid, th, recipe.Polarity)
+		res = im.MeasureCD(litho.AxisX, cy, float64(r.X0)-2*maxPullbackNM,
+			float64(r.X1)+2*maxPullbackNM, mid, th, recipe.Polarity)
 		drawnLo, drawnHi = float64(r.X0), float64(r.X1)
 	}
 	art.ScannedCDs++
@@ -346,7 +331,7 @@ func scanPullback(env *stageEnv, im *litho.Image, r geom.Rect, vertical bool,
 		return // total failure already reported as a pinch
 	}
 	report := func(pullback, pos float64) {
-		if pullback <= scan.MaxPullbackNM {
+		if pullback <= maxPullbackNM {
 			return
 		}
 		var at geom.Point
@@ -369,7 +354,7 @@ func scanPullback(env *stageEnv, im *litho.Image, r geom.Rect, vertical bool,
 // counts as a bridge when resist prints where nothing is drawn (this also
 // rejects pairs separated by an intermediate feature).
 func scanBridges(env *stageEnv, im *litho.Image, rects []geom.Rect,
-	drawn geom.Region, tile geom.Rect, th float64, corner litho.Corner, scan orcScanOptions, art *TileArtifact) {
+	drawn geom.Region, tile geom.Rect, th float64, corner litho.Corner, art *TileArtifact) {
 	recipe := env.Verify.Recipe()
 	printed := func(x, y float64) bool {
 		v := im.Sample(x, y)
@@ -391,7 +376,7 @@ func scanBridges(env *stageEnv, im *litho.Image, rects []geom.Rect,
 				continue
 			}
 			midX := float64(a.X1+b.X0) / 2
-			steps := int(float64(y1-y0)/scan.StepNM) + 1
+			steps := int(float64(y1-y0)/orcStepNM) + 1
 			// At most one bridge hotspot per rect pair per corner.
 			for s := 0; s < steps; s++ {
 				y := float64(y0) + (float64(s)+0.5)/float64(steps)*float64(y1-y0)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"postopc/internal/layout"
-	"postopc/internal/litho"
 	"postopc/internal/sta"
 )
 
@@ -18,21 +17,9 @@ import (
 // (same window signature), so each step pays only for its newly tagged
 // contexts — and repeated cell contexts collapse further.
 
-// SelectiveOptions configure SelectiveSweep.
-type SelectiveOptions struct {
-	// Ks are the tagging depths to sweep (paths tagged per step); 0 means
-	// "no OPC anywhere" and is always implicitly the baseline.
-	Ks []int
-	// Mode is the correction applied to tagged gates (default OPCModel).
-	Mode OPCMode
-	// Corners are the extraction conditions (default Nominal).
-	Corners []litho.Corner
-	// CritPaths is the number of worst drawn paths whose gates the CD
-	// metric is evaluated over (default 5).
-	CritPaths int
-	// Workers bounds extraction concurrency (0 = GOMAXPROCS, 1 = serial).
-	Workers int
-}
+// selectiveCritPaths is the number of worst drawn paths whose gates the
+// sweep's CD metric is evaluated over.
+const selectiveCritPaths = 5
 
 // SelectiveStep is the outcome of one tagging depth.
 type SelectiveStep struct {
@@ -40,7 +27,7 @@ type SelectiveStep struct {
 	K int
 	// Tagged are the gates OPC'd at this depth.
 	Tagged []string
-	// WNS is the annotated worst slack (ps) at Corners[0].
+	// WNS is the annotated worst slack (ps) at nominal.
 	WNS float64
 	// DeltaWNS is WNS minus the full-OPC reference WNS (ps).
 	DeltaWNS float64
@@ -53,7 +40,8 @@ type SelectiveStep struct {
 type SelectiveResult struct {
 	// Steps holds one entry per requested K, in order.
 	Steps []SelectiveStep
-	// FullWNS is the reference worst slack with Mode applied everywhere.
+	// FullWNS is the reference worst slack with model OPC applied
+	// everywhere.
 	FullWNS float64
 	// FullMeanAbsCDErrNM is the CD metric of the full correction.
 	FullMeanAbsCDErrNM float64
@@ -65,24 +53,16 @@ type SelectiveResult struct {
 
 // SelectiveSweep runs the selective-OPC loop on a placed chip: drawn is the
 // sign-off analysis used to tag critical paths, cfg the STA conditions for
-// the annotated re-analyses.
-func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result, cfg sta.Config, opt SelectiveOptions) (*SelectiveResult, error) {
-	if len(opt.Ks) == 0 {
+// the annotated re-analyses, and ks the tagging depths to sweep (paths
+// tagged per step; 0 means "no OPC anywhere"). Tagged gates get model OPC,
+// and every extraction is at nominal.
+func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result, cfg sta.Config, ks []int) (*SelectiveResult, error) {
+	if len(ks) == 0 {
 		return nil, fmt.Errorf("flow: selective sweep needs at least one tagging depth")
 	}
-	if opt.Mode == OPCNone {
-		opt.Mode = OPCModel
-	}
-	if len(opt.Corners) == 0 {
-		opt.Corners = []litho.Corner{litho.Nominal}
-	}
-	if opt.CritPaths <= 0 {
-		opt.CritPaths = 5
-	}
-	base := ExtractOptions{Corners: opt.Corners, Mode: OPCNone, Workers: opt.Workers}
-	sel := ExtractOptions{Corners: opt.Corners, Mode: opt.Mode, Workers: opt.Workers}
+	sel := ExtractOptions{Mode: OPCModel} // at nominal, like the baseline
 
-	noOPC, err := f.ExtractGates(chip, nil, base)
+	noOPC, err := f.ExtractGates(chip, nil, ExtractOptions{Mode: OPCNone})
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +74,7 @@ func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result
 	if err != nil {
 		return nil, err
 	}
-	crit := drawn.CriticalGates(opt.CritPaths)
+	crit := drawn.CriticalGates(selectiveCritPaths)
 	sort.Strings(crit)
 	critSet := make(map[string]bool, len(crit))
 	for _, n := range crit {
@@ -106,7 +86,7 @@ func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result
 		GatesTotal:         len(fullOPC),
 		CriticalGates:      crit,
 	}
-	for _, k := range opt.Ks {
+	for _, k := range ks {
 		extrs := make(map[string]*GateExtraction, len(noOPC))
 		for name, e := range noOPC {
 			extrs[name] = e
@@ -138,15 +118,20 @@ func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result
 }
 
 // MeanAbsCDError averages |meanCD − drawn| at the first extracted corner
-// over the sites of the selected gates (nm).
+// over the sites of the selected gates (nm). Gates are summed in name
+// order, so the result does not depend on map iteration order.
 func MeanAbsCDError(extrs map[string]*GateExtraction, gates map[string]bool) float64 {
+	var names []string
+	for name := range extrs {
+		if gates[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
 	var sum float64
 	n := 0
-	for name, e := range extrs {
-		if !gates[name] {
-			continue
-		}
-		for _, s := range e.Sites {
+	for _, name := range names {
+		for _, s := range extrs[name].Sites {
 			if len(s.PerCorner) == 0 {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 
 	"postopc/internal/cache"
-	"postopc/internal/cdx"
 	"postopc/internal/geom"
 	"postopc/internal/layout"
 	"postopc/internal/litho"
@@ -14,12 +13,13 @@ import (
 
 // Window signatures: each cached artifact is keyed by a SHA-256 over the
 // canonical serialization of its full input — the environment fingerprint
-// (models, OPC and extraction options, device parameters, mode) plus the
+// (models, rule deck, extraction options, device parameters, mode) plus the
 // canonical clipped geometry and the per-call parameters (sites, corners,
-// scan settings). Two calls with equal signatures are guaranteed to compute
-// identical artifacts, so the cache can substitute one for the other; the
-// Workers and Batch options never enter a signature because scheduling
-// must not change results.
+// pullback tolerance). Two calls with equal signatures are guaranteed to
+// compute identical artifacts, so the cache can substitute one for the
+// other; the Workers and Batch options never enter a signature because
+// scheduling must not change results. OPC settings are package constants
+// of opc, not inputs, so they stay out of the fingerprint.
 
 // envFor builds the stage environment for mode, including the fingerprint.
 // It is computed per call, never memoized on the Flow: sweeps tweak shallow
@@ -27,14 +27,9 @@ import (
 // fingerprint would silently alias their signatures.
 func (f *Flow) envFor(mode OPCMode) (*stageEnv, error) {
 	env := &stageEnv{
-		Verify: f.VerifySim,
-		OPCSim: f.OPCModelSim,
-		OPCOpt: f.OPCOpt,
-		CDX: cdx.Options{
-			Slices:       f.CDX.Slices,
-			ScanHalfNM:   f.CDX.ScanHalfNM,
-			EdgeMarginNM: f.CDX.EdgeMarginNM,
-		},
+		Verify:  f.VerifySim,
+		OPCSim:  f.OPCModelSim,
+		CDX:     f.CDX,
 		Dev:     f.Dev,
 		PitchNM: f.PDK.Rules.PolyPitchNM,
 		Mode:    mode,
@@ -53,7 +48,6 @@ func (f *Flow) envFor(mode OPCMode) (*stageEnv, error) {
 	b = geom.AppendKeyInt(b, int64(env.Mode), int64(env.PitchNM))
 	b = env.Verify.AppendKey(b)
 	b = env.OPCSim.AppendKey(b)
-	b = env.OPCOpt.AppendKey(b)
 	if env.Rule != nil {
 		b = env.Rule.AppendKey(b)
 	}
@@ -89,8 +83,8 @@ func windowSignature(env *stageEnv, clip layout.CanonicalWindow, sites []layout.
 }
 
 // tileSignature keys one ORC tile: environment, canonical clipped rects,
-// canonical window and tile bounds, corners, scan parameters.
-func tileSignature(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, scan orcScanOptions) cache.Key {
+// canonical window and tile bounds, corners, pullback tolerance.
+func tileSignature(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, maxPullbackNM float64) cache.Key {
 	b := append([]byte(nil), env.fingerprint...)
 	b = geom.AppendKeyString(b, "tile")
 	b = geom.AppendKeyRect(b, bounds)
@@ -100,7 +94,7 @@ func tileSignature(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, cor
 		b = geom.AppendKeyRect(b, r)
 	}
 	b = litho.AppendKeyCorners(b, corners)
-	b = geom.AppendKeyFloat(b, scan.PinchFrac, scan.StepNM, scan.EndExclusionNM, scan.MaxPullbackNM)
+	b = geom.AppendKeyFloat(b, maxPullbackNM)
 	return cache.Key(sha256.Sum256(b))
 }
 

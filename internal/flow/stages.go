@@ -24,10 +24,10 @@ import (
 //
 // Stage functions are deliberately free functions over an explicit
 // *stageEnv, never methods on Flow: everything they read is either a
-// parameter or a field of env, and env's fingerprint serializes all of it
-// into the cache signature. The cachekey analyzer (internal/analysis)
-// enforces this shape — a stage* function must not be a method and must not
-// read package-level state.
+// parameter, a field of env or a constant, and env's fingerprint
+// serializes every field into the cache signature. The cachekey analyzer
+// (internal/analysis) enforces this shape — a stage* function must not be
+// a method and must not read package-level state.
 
 // stageEnv captures every Flow-derived input of the staged computations.
 // Anything that can change a stage's output must be a field here AND must
@@ -38,8 +38,6 @@ type stageEnv struct {
 	Verify litho.Model
 	// OPCSim drives the OPC inner loop and EPE measurement.
 	OPCSim litho.Model
-	// OPCOpt configures model-based correction and fragmentation.
-	OPCOpt opc.Options
 	// Rule is the rule-based deck; non-nil exactly when Mode is OPCRule.
 	Rule *opc.RuleTable
 	// CDX configures gate CD extraction.
@@ -112,16 +110,6 @@ type TileArtifact struct {
 	ScannedCDs int
 }
 
-// orcScanOptions are the geometric scan parameters of an ORC tile pass —
-// the subset of ORCOptions that changes the scan result (Workers stays
-// out; Corners and Mode are keyed separately).
-type orcScanOptions struct {
-	PinchFrac      float64
-	StepNM         float64
-	EndExclusionNM float64
-	MaxPullbackNM  float64
-}
-
 // stageClip clips the chip's poly layer inside window and canonicalizes it:
 // geometry is translated to the window origin and put into canonical
 // polygon order, so equal layout contexts anywhere on the chip produce
@@ -144,7 +132,7 @@ func stageOPC(env *stageEnv, drawn []geom.Polygon, interior geom.Rect, measureEP
 		for _, pg := range drawn {
 			ctx = append(ctx, geom.RegionFromPolygon(pg)...)
 		}
-		corrected, err := opc.RuleBased(drawn, ctx.Normalize(), env.Rule, env.OPCOpt.Fragment, 4*env.PitchNM)
+		corrected, err := opc.RuleBased(drawn, ctx.Normalize(), env.Rule, opc.DefaultFragmentOptions(), 4*env.PitchNM)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -153,7 +141,7 @@ func stageOPC(env *stageEnv, drawn []geom.Polygon, interior geom.Rect, measureEP
 		}
 		var targets []*opc.FragmentedPolygon
 		for _, pg := range drawn {
-			fp, err := opc.Fragmentize(pg, env.OPCOpt.Fragment)
+			fp, err := opc.Fragmentize(pg, opc.DefaultFragmentOptions())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -169,7 +157,7 @@ func stageOPC(env *stageEnv, drawn []geom.Polygon, interior geom.Rect, measureEP
 		}
 		return corrected, vals, nil
 	default: // OPCModel
-		res, err := opc.ModelBased(env.OPCSim, drawn, nil, env.OPCOpt)
+		res, err := opc.ModelBased(env.OPCSim, drawn, nil, opc.DefaultOptions())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -285,15 +273,16 @@ func stageTileMask(env *stageEnv, rects []geom.Rect, rec *obs.WindowRecord, pare
 
 // stageTileArtifact runs the pinch / bridge / pullback scans of one tile
 // over its corner images. rects are the canonical clipped poly rects, tile
-// the canonical interior tile that owns the hotspots.
-func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, tile geom.Rect, corners []litho.Corner, scan orcScanOptions) *TileArtifact {
+// the canonical interior tile that owns the hotspots, maxPullbackNM the
+// tolerated line-end pullback.
+func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, tile geom.Rect, corners []litho.Corner, maxPullbackNM float64) *TileArtifact {
 	art := &TileArtifact{}
 	drawnRegion := geom.RegionFromRects(rects...).Normalize()
 	recipe := env.Verify.Recipe()
 	for ci, corner := range corners {
 		th := recipe.EffectiveThreshold(corner)
-		scanPinches(env, imgs[ci], rects, tile, th, corner, scan, art)
-		scanBridges(env, imgs[ci], rects, drawnRegion, tile, th, corner, scan, art)
+		scanPinches(env, imgs[ci], rects, tile, th, corner, maxPullbackNM, art)
+		scanBridges(env, imgs[ci], rects, drawnRegion, tile, th, corner, art)
 	}
 	return art
 }

@@ -171,14 +171,7 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 func (a *Abbe) resolveSets(nx, ny int, px float64, corners []Corner) (sets []*filterSet, rows []int) {
 	sets = make([]*filterSet, len(corners))
 	for ci, c := range corners {
-		dup := false
-		for _, p := range corners[:ci] {
-			if p.DefocusNM == c.DefocusNM {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if doseAlias(corners, ci) != ci {
 			continue
 		}
 		sets[ci] = a.filtersFor(nx, ny, px, c.DefocusNM)
@@ -192,14 +185,9 @@ func (a *Abbe) resolveSets(nx, ny int, px float64, corners []Corner) (sets []*fi
 // earlier corner's image per the AerialSeries contract.
 func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, sets []*filterSet, bg float64) ([]*Image, error) {
 	order := make([]*Image, len(corners))
-	for ci, c := range corners {
-		if sets[ci] == nil { // duplicate defocus: alias the earlier image
-			for cj, p := range corners[:ci] {
-				if p.DefocusNM == c.DefocusNM {
-					order[ci] = order[cj]
-					break
-				}
-			}
+	for ci := range corners {
+		if cj := doseAlias(corners, ci); cj != ci {
+			order[ci] = order[cj]
 			continue
 		}
 		im, err := a.aerialFiltered(t, mask, sets[ci], bg)

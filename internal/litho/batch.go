@@ -118,24 +118,9 @@ func (g *Gaussian) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Ima
 	defer ks.release()
 	out := make([][]*Image, len(masks))
 	for mi, mask := range masks {
-		imgs := make([]*Image, len(corners))
-		for ci, c := range corners {
-			dup := false
-			for cj, p := range corners[:ci] {
-				if p.DefocusNM == c.DefocusNM {
-					imgs[ci] = imgs[cj]
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			im, err := g.aerial(mask, c, ks)
-			if err != nil {
-				return nil, err
-			}
-			imgs[ci] = im
+		imgs, err := g.series(mask, corners, ks)
+		if err != nil {
+			return nil, err
 		}
 		out[mi] = imgs
 	}

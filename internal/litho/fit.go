@@ -3,6 +3,7 @@ package litho
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"postopc/internal/geom"
 )
@@ -23,6 +24,13 @@ type DualFit struct {
 // threshold is recalibrated (dose-to-size on width/refPitch) for every
 // candidate, exactly as a fab would anchor a fast OPC model.
 func FitDualGaussian(r Recipe, width, refPitch geom.Coord, targets map[geom.Coord]float64) (DualFit, error) {
+	// Squared errors are summed in pitch order, so the residual does not
+	// depend on map iteration order.
+	pitches := make([]geom.Coord, 0, len(targets))
+	for pitch := range targets {
+		pitches = append(pitches, pitch)
+	}
+	slices.Sort(pitches)
 	best := DualFit{RMS: math.Inf(1)}
 	for _, sigma2 := range []float64{120, 160, 200, 240, 280, 320} {
 		for w := -0.15; w <= 0.35+1e-9; w += 0.05 {
@@ -37,7 +45,8 @@ func FitDualGaussian(r Recipe, width, refPitch geom.Coord, targets map[geom.Coor
 			var se float64
 			n := 0
 			ok := true
-			for pitch, want := range targets {
+			for _, pitch := range pitches {
+				want := targets[pitch]
 				cd, err := measureArrayCD(m, width, pitch, th)
 				if err != nil {
 					ok = false

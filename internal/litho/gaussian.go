@@ -207,17 +207,16 @@ func (g *Gaussian) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, 
 	defer g.hAerial.ObserveSince(t0)
 	ks := borrowKernelScratch()
 	defer ks.release()
+	return g.series(mask, corners, ks)
+}
+
+// series images mask at every corner on the kernel scratch ks, aliasing
+// corners that share a defocus (see doseAlias).
+func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch) ([]*Image, error) {
 	out := make([]*Image, len(corners))
 	for ci, c := range corners {
-		dup := false
-		for cj, p := range corners[:ci] {
-			if p.DefocusNM == c.DefocusNM {
-				out[ci] = out[cj]
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if cj := doseAlias(corners, ci); cj != ci {
+			out[ci] = out[cj]
 			continue
 		}
 		im, err := g.aerial(mask, c, ks)

@@ -114,6 +114,19 @@ func (r Recipe) EffectiveThreshold(c Corner) float64 {
 	return r.Threshold / c.Dose
 }
 
+// doseAlias returns the index of the first corner that shares corner i's
+// defocus: i itself unless an earlier corner does. Dose never changes the
+// image (EffectiveThreshold folds it into the threshold), so corners with
+// equal defocus share one *Image.
+func doseAlias(corners []Corner, i int) int {
+	for j, p := range corners[:i] {
+		if p.DefocusNM == corners[i].DefocusNM {
+			return j
+		}
+	}
+	return i
+}
+
 // ErrEmptyMask is returned by every imaging entry point (Aerial,
 // AerialSeries, AerialBatch) of both models when a mask raster has no
 // pixels (Nx or Ny is zero).

@@ -2,24 +2,9 @@ package opc
 
 import "postopc/internal/geom"
 
-// Key serialization for the flow's pattern cache: OPC settings shape the
-// corrected mask, so every field participates in the window signature.
-
-// AppendKey appends the fragmentation settings.
-func (fo FragmentOptions) AppendKey(dst []byte) []byte {
-	return geom.AppendKeyInt(dst, int64(fo.LengthNM), int64(fo.CornerNM))
-}
-
-// AppendKey appends the full model-based OPC configuration.
-func (o Options) AppendKey(dst []byte) []byte {
-	dst = o.Fragment.AppendKey(dst)
-	dst = geom.AppendKeyInt(dst, int64(o.Iterations))
-	dst = geom.AppendKeyFloat(dst, o.Gain)
-	return geom.AppendKeyInt(dst,
-		int64(o.MaxMoveNM), int64(o.MaxBiasNM), int64(o.MinSpaceNM), int64(o.SearchNM))
-}
-
-// AppendKey appends the rule table's breakpoints and biases.
+// AppendKey appends the rule table's breakpoints and biases: the deck
+// shapes the corrected mask, so the flow's pattern cache folds it into the
+// window signature.
 func (rt RuleTable) AppendKey(dst []byte) []byte {
 	dst = geom.AppendKeyInt(dst, int64(len(rt.SpacesNM)))
 	for _, s := range rt.SpacesNM {

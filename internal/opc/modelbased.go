@@ -8,40 +8,39 @@ import (
 	"postopc/internal/litho"
 )
 
+// Model-based correction constants.
+const (
+	// defaultIterations is the number of simulate-measure-move rounds
+	// when Options.Iterations is not positive.
+	defaultIterations = 8
+	// gain is the EPE-to-move feedback factor.
+	gain = 0.6
+	// maxMoveNM clamps the per-iteration fragment move.
+	maxMoveNM geom.Coord = 12
+	// maxBiasNM clamps the total fragment bias (a crude mask-rule check
+	// preventing merged or vanished mask features).
+	maxBiasNM geom.Coord = 45
+	// minSpaceNM is the mask-rule (MRC) minimum space: after every
+	// iteration each fragment's bias is pulled back until the corrected
+	// mask keeps at least this clearance to neighbouring corrected
+	// geometry.
+	minSpaceNM geom.Coord = 140
+	// searchNM is the half-range of the printed-edge search along each
+	// fragment normal, for correction and verification alike.
+	searchNM geom.Coord = 80
+)
+
 // Options configure model-based OPC.
 type Options struct {
 	// Fragment controls edge fragmentation.
 	Fragment FragmentOptions
 	// Iterations is the number of simulate-measure-move rounds.
 	Iterations int
-	// Gain is the EPE-to-move feedback factor (0 < Gain <= 1).
-	Gain float64
-	// MaxMoveNM clamps the per-iteration fragment move.
-	MaxMoveNM geom.Coord
-	// MaxBiasNM clamps the total fragment bias (a crude mask-rule check
-	// preventing merged or vanished mask features).
-	MaxBiasNM geom.Coord
-	// MinSpaceNM is the mask-rule (MRC) minimum space: after every
-	// iteration each fragment's bias is pulled back until the corrected
-	// mask keeps at least this clearance to neighbouring corrected
-	// geometry. 0 disables the check.
-	MinSpaceNM geom.Coord
-	// SearchNM is the half-range of the printed-edge search along each
-	// fragment normal.
-	SearchNM geom.Coord
 }
 
 // DefaultOptions returns production-flavored settings.
 func DefaultOptions() Options {
-	return Options{
-		Fragment:   DefaultFragmentOptions(),
-		Iterations: 8,
-		Gain:       0.6,
-		MaxMoveNM:  12,
-		MaxBiasNM:  45,
-		MinSpaceNM: 140,
-		SearchNM:   80,
-	}
+	return Options{Fragment: DefaultFragmentOptions(), Iterations: defaultIterations}
 }
 
 // Result is the outcome of a model-based OPC run on one window.
@@ -65,19 +64,7 @@ type Result struct {
 // windows) are rasterized into every simulation but left unmodified.
 func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Result, error) {
 	if opt.Iterations <= 0 {
-		opt.Iterations = 8
-	}
-	if opt.Gain <= 0 || opt.Gain > 1 {
-		opt.Gain = 0.6
-	}
-	if opt.MaxMoveNM <= 0 {
-		opt.MaxMoveNM = 12
-	}
-	if opt.MaxBiasNM <= 0 {
-		opt.MaxBiasNM = 45
-	}
-	if opt.SearchNM <= 0 {
-		opt.SearchNM = 80
+		opt.Iterations = defaultIterations
 	}
 	res := &Result{}
 	for _, pg := range drawn {
@@ -104,27 +91,25 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 		maxAbs := 0.0
 		for _, fp := range res.Fragmented {
 			for _, f := range fp.Frags {
-				epe := MeasureEPE(im, f, r.Threshold, r.Polarity, opt.SearchNM)
-				move := geom.Coord(math.Round(-opt.Gain * epe))
-				if move > opt.MaxMoveNM {
-					move = opt.MaxMoveNM
-				} else if move < -opt.MaxMoveNM {
-					move = -opt.MaxMoveNM
+				epe := MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM)
+				move := geom.Coord(math.Round(-gain * epe))
+				if move > maxMoveNM {
+					move = maxMoveNM
+				} else if move < -maxMoveNM {
+					move = -maxMoveNM
 				}
 				f.Bias += move
-				if f.Bias > opt.MaxBiasNM {
-					f.Bias = opt.MaxBiasNM
-				} else if f.Bias < -opt.MaxBiasNM {
-					f.Bias = -opt.MaxBiasNM
+				if f.Bias > maxBiasNM {
+					f.Bias = maxBiasNM
+				} else if f.Bias < -maxBiasNM {
+					f.Bias = -maxBiasNM
 				}
 				if a := math.Abs(epe); a > maxAbs {
 					maxAbs = a
 				}
 			}
 		}
-		if opt.MinSpaceNM > 0 {
-			enforceMinSpace(res.Fragmented, context, opt.MinSpaceNM)
-		}
+		enforceMinSpace(res.Fragmented, context)
 		if maxAbs < 1.0 { // converged to sub-nm
 			break
 		}
@@ -144,17 +129,17 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 	res.Sims++
 	for _, fp := range res.Fragmented {
 		for _, f := range fp.Frags {
-			res.FinalEPE = append(res.FinalEPE, MeasureEPE(im, f, r.Threshold, r.Polarity, opt.SearchNM))
+			res.FinalEPE = append(res.FinalEPE, MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM))
 		}
 	}
 	return res, nil
 }
 
 // enforceMinSpace is the mask-rule check: any fragment whose corrected
-// edge would come closer than minSpace to neighbouring corrected geometry
-// is pulled back. Neighbours include the other corrected polygons and the
-// uncorrected context.
-func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon, minSpace geom.Coord) {
+// edge would come closer than minSpaceNM to neighbouring corrected
+// geometry is pulled back. Neighbours include the other corrected polygons
+// and the uncorrected context.
+func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon) {
 	// Region of everything at current biases.
 	var all geom.Region
 	for _, fp := range frags {
@@ -174,9 +159,9 @@ func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon, minSpac
 				Control: f.Control.Add(f.Normal.Scale(f.Bias)),
 				Normal:  f.Normal,
 			}
-			cl := Clearance(probe, all, minSpace+20)
-			if cl < minSpace {
-				f.Bias -= minSpace - cl
+			cl := Clearance(probe, all, minSpaceNM+20)
+			if cl < minSpaceNM {
+				f.Bias -= minSpaceNM - cl
 				if f.Bias < 0 {
 					f.Bias = 0
 				}

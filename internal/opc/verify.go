@@ -62,7 +62,7 @@ func Verify(m litho.Model, corrected, context []geom.Polygon, targets []*Fragmen
 	var epes []float64
 	for _, fp := range targets {
 		for _, f := range fp.Frags {
-			epes = append(epes, MeasureEPE(im, f, th, r.Polarity, 80))
+			epes = append(epes, MeasureEPE(im, f, th, r.Polarity, searchNM))
 		}
 	}
 	return epes, SummarizeEPE(epes, tolerance), nil

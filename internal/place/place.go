@@ -16,14 +16,14 @@ import (
 	"postopc/internal/stdcell"
 )
 
+// utilization is the target row fill fraction before padding; the rest is
+// fill cells, which also give the row a realistic sprinkling of dummy poly.
+const utilization = 0.85
+
 // Options control the placer.
 type Options struct {
 	// RowWidthNM fixes the row width; 0 selects a near-square die.
 	RowWidthNM geom.Coord
-	// Utilization is the target row fill fraction before padding
-	// (0 < u <= 1, default 0.85); the rest is fill cells, which also give
-	// the row a realistic sprinkling of dummy poly.
-	Utilization float64
 }
 
 // Result is a completed placement.
@@ -38,9 +38,6 @@ type Result struct {
 
 // Place arranges every gate of n into rows.
 func Place(n *netlist.Netlist, lib *stdcell.Library, opt Options) (*Result, error) {
-	if opt.Utilization <= 0 || opt.Utilization > 1 {
-		opt.Utilization = 0.85
-	}
 	conns, err := n.Connectivity(lib)
 	if err != nil {
 		return nil, err
@@ -61,8 +58,8 @@ func Place(n *netlist.Netlist, lib *stdcell.Library, opt Options) (*Result, erro
 	rowH := lib.PDK.Rules.CellHeightNM
 	rowW := opt.RowWidthNM
 	if rowW <= 0 {
-		// Near-square die at the requested utilization.
-		usable := float64(totalW) / opt.Utilization
+		// Near-square die at the target utilization.
+		usable := float64(totalW) / utilization
 		rows := int(math.Round(math.Sqrt(usable / float64(rowH))))
 		if rows < 1 {
 			rows = 1
@@ -95,7 +92,7 @@ func Place(n *netlist.Netlist, lib *stdcell.Library, opt Options) (*Result, erro
 			x += fillW
 		}
 	}
-	budget := geom.Coord(float64(rowW) * opt.Utilization)
+	budget := geom.Coord(float64(rowW) * utilization)
 	for _, gi := range order {
 		w := cells[gi].Layout.Box.W()
 		if x+w > rowW || (x > budget && x+w > budget) {

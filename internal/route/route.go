@@ -19,9 +19,6 @@ import (
 
 // Options configure the router.
 type Options struct {
-	// WireWidthNM is the drawn routing wire width (defaults to the kit's
-	// M1 width).
-	WireWidthNM geom.Coord
 	// CapPerUMFF converts routed length to capacitance in Loads().
 	CapPerUMFF float64
 	// ViaCapFF is added per via in Loads().
@@ -53,11 +50,9 @@ type Result struct {
 	opt Options
 }
 
-// Route connects every net of the placed design.
+// Route connects every net of the placed design with wires of the kit's
+// metal-1 width.
 func Route(chip *layout.Chip, n *netlist.Netlist, lib *stdcell.Library, opt Options) (*Result, error) {
-	if opt.WireWidthNM <= 0 {
-		opt.WireWidthNM = lib.PDK.Rules.Metal1WidthNM
-	}
 	if opt.CapPerUMFF <= 0 {
 		opt.CapPerUMFF = 0.20
 	}
@@ -90,7 +85,7 @@ func Route(chip *layout.Chip, n *netlist.Netlist, lib *stdcell.Library, opt Opti
 				pins = append(pins, centers[s.Gate])
 			}
 		}
-		res.Nets[netName] = routeNet(netName, pins, opt.WireWidthNM)
+		res.Nets[netName] = routeNet(netName, pins, lib.PDK.Rules.Metal1WidthNM)
 		res.TotalLengthNM += res.Nets[netName].LengthNM
 		res.TotalVias += res.Nets[netName].Vias
 	}

@@ -83,6 +83,20 @@ func TestRoutePlacedDesign(t *testing.T) {
 	if res.TotalLengthNM <= 0 || res.TotalVias <= 0 {
 		t.Fatalf("totals: %d nm, %d vias", res.TotalLengthNM, res.TotalVias)
 	}
+	// Every wire is drawn at the kit's metal-1 width.
+	width := lib(t).PDK.Rules.Metal1WidthNM
+	segs := 0
+	for name, nt := range res.Nets {
+		for _, r := range append(append([]geom.Rect(nil), nt.HSegs...), nt.VSegs...) {
+			if min(r.W(), r.H()) != width {
+				t.Fatalf("net %s: segment %v is not %d nm wide", name, r, width)
+			}
+			segs++
+		}
+	}
+	if segs == 0 {
+		t.Fatal("no wire segments routed")
+	}
 	// Loads: every net present, non-negative, multi-pin nets positive.
 	loads := res.Loads()
 	for name, nt := range res.Nets {

@@ -23,23 +23,23 @@ import (
 //     marked positions, lowest first, so the cone is recomputed in
 //     topological order. A recomputed arrival that matches the baseline
 //     stops the cone there.
-//   - Loads depend only on the boundary conditions checked below, so the
-//     result shares the baseline's. Leakage is re-summed in the same gate
+//   - Loads depend only on the WireLoads checked below, so the result
+//     shares the baseline's. Leakage is re-summed in the same gate
 //     order as Analyze so the total carries identical floating-point
 //     rounding.
 //
-// The baseline must have been analyzed under the same arrival-relevant
-// boundary conditions (InputSlewPS, PrimaryLoadFF, WireLoads). ClockPS,
-// SetupPS and KPaths may differ — they only shape required times and path
-// reporting, which are always recomputed. When the baseline is unusable —
-// nil, from a different graph, differing boundary conditions, or when
-// either annotation set carries the "*" blanket default (which touches
-// every gate) — AnalyzeIncremental falls back to a full Analyze and counts
-// the fallback in "sta.incremental_fallbacks_total" and in the counter of
-// its reason, "sta.incremental_fallbacks_<reason>_total" (see
-// fallbackReasonNames). Telemetry: "sta.incremental_analyses_total",
-// "sta.incremental_gate_evals" (candidates re-evaluated) and
-// "sta.incremental_cone_gates" (arrivals recomputed).
+// The baseline must have been analyzed under the same WireLoads, the only
+// arrival-relevant boundary condition in Config. ClockPS and KPaths may
+// differ — they only shape required times and path reporting, which are
+// always recomputed. When the baseline is unusable — nil, from a different
+// graph, under different WireLoads, or when either annotation set carries
+// the "*" blanket default (which touches every gate) — AnalyzeIncremental
+// falls back to a full Analyze and counts the fallback in
+// "sta.incremental_fallbacks_total" and in the counter of its reason,
+// "sta.incremental_fallbacks_<reason>_total" (see fallbackReasonNames).
+// Telemetry: "sta.incremental_analyses_total", "sta.incremental_gate_evals"
+// (candidates re-evaluated) and "sta.incremental_cone_gates" (arrivals
+// recomputed).
 func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*Result, error) {
 	if g.refuse(cfg, ann, base) {
 		return g.Analyze(cfg, ann)
@@ -118,8 +118,8 @@ func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *con
 	}
 	res.LeakNW = sumLeak(res.evals)
 
-	// Seeds: primary-input arrivals depend only on cfg (verified equal);
-	// a flop launch depends on the flop's evaluation and its Q-net load.
+	// Seeds: primary-input arrivals are the same in every analysis; a
+	// flop launch depends on the flop's evaluation and its Q-net load.
 	if c.marks == nil {
 		c.marks = make([]uint64, (len(g.topo)+63)/64)
 	}
@@ -133,7 +133,7 @@ func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *con
 		if qi < 0 || g.cells[gi].Kind != stdcell.Seq {
 			continue
 		}
-		if a := g.launchArrival(cfg, res.evals[gi], res.loads[qi]); a != base.arr[qi] {
+		if a := g.launchArrival(res.evals[gi], res.loads[qi]); a != base.arr[qi] {
 			res.arr[qi] = a
 			g.markFanout(c, qi)
 		}
@@ -190,8 +190,6 @@ const (
 	refuseNilBaseline                 // no baseline
 	refuseForeignGraph                // baseline from a different graph
 	refuseBlanket                     // a blanket "*" annotation
-	refuseInputSlew                   // InputSlewPS differs
-	refusePrimaryLoad                 // PrimaryLoadFF differs
 	refuseWireLoads                   // WireLoads differ
 	numFallbackReasons
 )
@@ -202,8 +200,6 @@ var fallbackReasonNames = [numFallbackReasons]string{
 	refuseNilBaseline:  "nil_baseline",
 	refuseForeignGraph: "foreign_graph",
 	refuseBlanket:      "blanket",
-	refuseInputSlew:    "input_slew",
-	refusePrimaryLoad:  "primary_load",
 	refuseWireLoads:    "wire_loads",
 }
 
@@ -222,14 +218,9 @@ func (g *Graph) incrementalOK(cfg Config, ann Annotations, base *Result) fallbac
 	if ann["*"] != nil || base.ann["*"] != nil {
 		return refuseBlanket // blanket default touches every gate: cone is the chip
 	}
-	// Arrival-relevant boundary conditions must match; required-time knobs
-	// (ClockPS, SetupPS, KPaths) are always recomputed and may differ.
-	switch {
-	case cfg.InputSlewPS != base.cfg.InputSlewPS:
-		return refuseInputSlew
-	case cfg.PrimaryLoadFF != base.cfg.PrimaryLoadFF:
-		return refusePrimaryLoad
-	case !wireLoadsEqual(cfg.WireLoads, base.cfg.WireLoads):
+	// The arrival-relevant boundary condition must match; required-time
+	// knobs (ClockPS, KPaths) are always recomputed and may differ.
+	if !wireLoadsEqual(cfg.WireLoads, base.cfg.WireLoads) {
 		return refuseWireLoads
 	}
 	return baselineOK

@@ -234,8 +234,6 @@ func TestIncrementalFallsBackToFull(t *testing.T) {
 		{"nil baseline", cfg, ann, nil, refuseNilBaseline},
 		{"foreign graph", cfg, ann, foreign, refuseForeignGraph},
 		{"blanket annotation", cfg, Annotations{"*": timinglib.Uniform(94)}, base, refuseBlanket},
-		{"slew changed", func() Config { c := cfg; c.InputSlewPS = cfg.InputSlewPS * 2; return c }(), ann, base, refuseInputSlew},
-		{"load changed", func() Config { c := cfg; c.PrimaryLoadFF += 1; return c }(), ann, base, refusePrimaryLoad},
 		{"wire loads added", func() Config { c := cfg; c.WireLoads = map[string]float64{"s0": 0.5}; return c }(), ann, base, refuseWireLoads},
 		{"clock changed is fine", func() Config { c := cfg; c.ClockPS = 9000; return c }(), ann, base, baselineOK},
 		{"kpaths changed is fine", func() Config { c := cfg; c.KPaths = 2; return c }(), ann, base, baselineOK},

@@ -166,7 +166,7 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 	arr := make([]cArr, len(g.netNames))
 	for _, in := range n.Inputs {
 		if ni, ok := g.netIdx[in]; ok {
-			arr[ni] = cArr{slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS, validR: true, validF: true}
+			arr[ni] = cArr{slewR: inputSlewPS, slewF: inputSlewPS, validR: true, validF: true}
 		}
 	}
 	for gi, gate := range n.Gates {
@@ -174,8 +174,8 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 		if g.cells[gi].Kind != stdcell.Seq || qi < 0 {
 			continue
 		}
-		cR, sR := arcs.Launch(gate.Name, true, loads[qi], cfg.InputSlewPS)
-		cF, sF := arcs.Launch(gate.Name, false, loads[qi], cfg.InputSlewPS)
+		cR, sR := arcs.Launch(gate.Name, true, loads[qi], inputSlewPS)
+		cF, sF := arcs.Launch(gate.Name, false, loads[qi], inputSlewPS)
 		arr[qi] = cArr{r: cR, f: cF, slewR: sR, slewF: sF, validR: true, validF: true}
 	}
 
@@ -249,7 +249,7 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 		}
 		required := cfg.ClockPS
 		if ref.flop {
-			required = cfg.ClockPS - cfg.SetupPS
+			required = cfg.ClockPS - setupPS
 		}
 		slack := Canonical{Mean: required}.add(neg(worst))
 		res.Endpoints = append(res.Endpoints, SSTAEndpoint{Name: ref.name, Slack: slack})

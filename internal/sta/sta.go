@@ -22,17 +22,21 @@ import (
 	"postopc/internal/timinglib"
 )
 
-// Config are the analysis boundary conditions.
+// Boundary conditions every analysis shares.
+const (
+	// inputSlewPS is the transition at primary inputs and launching flops.
+	inputSlewPS = 30.0
+	// primaryLoadFF is the load on primary outputs.
+	primaryLoadFF = 5.0
+	// setupPS is the flip-flop setup time, subtracted from the required
+	// time at D endpoints.
+	setupPS = 25.0
+)
+
+// Config are the analysis boundary conditions that vary per analysis.
 type Config struct {
 	// ClockPS is the cycle time: required arrival at every endpoint.
 	ClockPS float64
-	// InputSlewPS is the transition at primary inputs and launching flops.
-	InputSlewPS float64
-	// PrimaryLoadFF is the load on primary outputs.
-	PrimaryLoadFF float64
-	// SetupPS is the flip-flop setup time (subtracted from the required
-	// time at D endpoints).
-	SetupPS float64
 	// KPaths is how many worst paths to report (default 10).
 	KPaths int
 	// WireLoads optionally supplies per-net wire capacitance (fF), e.g.
@@ -49,7 +53,7 @@ type Config struct {
 // DefaultConfig returns sensible N90 boundary conditions (the clock must
 // still be chosen per design).
 func DefaultConfig(clockPS float64) Config {
-	return Config{ClockPS: clockPS, InputSlewPS: 30, PrimaryLoadFF: 5, SetupPS: 25, KPaths: 10}
+	return Config{ClockPS: clockPS, KPaths: 10}
 }
 
 // Graph is the timing graph of one netlist, reusable across annotations.
@@ -195,7 +199,7 @@ type pinNet struct {
 type endpointRef struct {
 	name string
 	net  int32 // net index
-	flop bool  // a flop D pin (required at ClockPS − SetupPS), else a primary output
+	flop bool  // a flop D pin (required at ClockPS − setupPS), else a primary output
 }
 
 // resolve fills the Build-time tables: sink capacitances, endpoints,
@@ -415,13 +419,13 @@ func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
 	// Seed arrivals: primary inputs and flop Q outputs.
 	for _, in := range n.Inputs {
 		if ni, ok := g.netIdx[in]; ok {
-			res.arr[ni] = arrival{atR: 0, atF: 0, slewR: cfg.InputSlewPS, slewF: cfg.InputSlewPS,
+			res.arr[ni] = arrival{atR: 0, atF: 0, slewR: inputSlewPS, slewF: inputSlewPS,
 				fromNetR: -1, fromNetF: -1, valid: true}
 		}
 	}
 	for gi := range n.Gates {
 		if qi := g.outIdx[gi]; qi >= 0 && g.cells[gi].Kind == stdcell.Seq {
-			res.arr[qi] = g.launchArrival(cfg, res.evals[gi], res.loads[qi])
+			res.arr[qi] = g.launchArrival(res.evals[gi], res.loads[qi])
 		}
 	}
 
@@ -479,7 +483,7 @@ func (g *Graph) netLoads(cfg Config) []float64 {
 		gateSinks := 0
 		for k, s := range c.Sinks {
 			if s.Gate < 0 {
-				l += cfg.PrimaryLoadFF
+				l += primaryLoadFF
 				continue
 			}
 			l += g.sinkCin[ni][k]
@@ -503,9 +507,9 @@ func (g *Graph) netLoads(cfg Config) []float64 {
 
 // launchArrival computes the clk->Q seed arrival of a flop with
 // evaluation ev driving a Q net of the given load.
-func (g *Graph) launchArrival(cfg Config, ev timinglib.Eval, load float64) arrival {
-	dR, sR := g.TL.ArcDelay(ev, true, load, cfg.InputSlewPS)
-	dF, sF := g.TL.ArcDelay(ev, false, load, cfg.InputSlewPS)
+func (g *Graph) launchArrival(ev timinglib.Eval, load float64) arrival {
+	dR, sR := g.TL.ArcDelay(ev, true, load, inputSlewPS)
+	dF, sF := g.TL.ArcDelay(ev, false, load, inputSlewPS)
 	return arrival{atR: dR, atF: dF, slewR: sR, slewF: sF, fromNetR: -1, fromNetF: -1, valid: true}
 }
 
@@ -561,7 +565,7 @@ func (g *Graph) finish(res *Result) error {
 		}
 		ep := Endpoint{Name: ref.name, Net: g.netNames[ref.net], RequiredPS: cfg.ClockPS}
 		if ref.flop {
-			ep.RequiredPS = cfg.ClockPS - cfg.SetupPS
+			ep.RequiredPS = cfg.ClockPS - setupPS
 		}
 		if a.atR >= a.atF {
 			ep.ArrivalPS, ep.Rise = a.atR, true
