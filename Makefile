@@ -13,13 +13,14 @@ vet:
 # correctness (parcapture), dead-assignment hygiene (deadassign),
 # cache-key completeness (cachekey, keycover), allocation budgets
 # (allocbudget), write-only telemetry (obswrite) and suppression hygiene
-# (nolint). -timing prints per-analyzer wall-clock to stderr.
+# (nolint). -timing prints load and per-analyzer wall-clock to stderr.
 lint:
 	$(GO) build -o bin/postopc-lint ./cmd/postopc-lint
 	./bin/postopc-lint -timing ./...
 
 # The machine-readable variant of the lint gate: same findings, rendered
-# as SARIF 2.1.0 on stdout (byte-identical at any worker count).
+# as SARIF 2.1.0 on stdout (byte-stable: the same findings always render
+# to the same bytes).
 lint-sarif:
 	$(GO) build -o bin/postopc-lint ./cmd/postopc-lint
 	./bin/postopc-lint -json ./... > postopc-lint.sarif

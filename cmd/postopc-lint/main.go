@@ -6,12 +6,12 @@
 // Packages are go-list patterns (default ./...). -json renders findings
 // as SARIF 2.1.0 on stdout (CI ingests the file as a code-scanning
 // artifact); the default is file:line:col: analyzer: message text.
-// -timing prints per-analyzer wall-clock to stderr. Packages are analyzed
-// in dependency order so analyzer facts (cache-key coverage,
-// allocation-freedom) flow across package boundaries through one
-// in-process fact store; output is byte-identical at any worker count.
-// The exit status is non-zero when any finding survives //postopc:nolint
-// filtering.
+// -timing prints the wall-clock of loading and of each analyzer to stderr.
+// Packages are analyzed in one serial pass in dependency order, so
+// analyzer facts (cache-key coverage, allocation-freedom) flow across
+// package boundaries through one in-process fact store. The exit status
+// is non-zero when any finding survives //postopc:nolint filtering, and
+// when the patterns match no package.
 package main
 
 import (
@@ -26,25 +26,29 @@ import (
 	"postopc/internal/analysis/sarif"
 	"postopc/internal/analysis/suite"
 	"postopc/internal/cli"
+	"postopc/internal/obs"
 )
 
 func main() {
 	jsonOut := flag.Bool("json", false, "render findings as SARIF 2.1.0 on stdout")
-	timing := flag.Bool("timing", false, "print per-analyzer wall-clock to stderr")
+	timing := flag.Bool("timing", false, "print load and per-analyzer wall-clock to stderr")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	t0 := obs.Monotonic()
 	pkgs, err := load.Packages(".", patterns...)
 	if err != nil {
 		cli.Fatal("postopc-lint", err)
 	}
-	res, err := driver.Run(pkgs, suite.Analyzers, driver.Options{})
+	loadNanos := obs.Monotonic() - t0
+	res, err := driver.Run(pkgs, suite.Analyzers)
 	if err != nil {
 		cli.Fatal("postopc-lint", err)
 	}
 	if *timing {
+		printTiming(os.Stderr, "load", loadNanos)
 		printTimings(os.Stderr, res.Timings)
 	}
 	if *jsonOut {
@@ -75,6 +79,10 @@ func printTimings(w io.Writer, ts []driver.Timing) {
 		return sorted[i].Analyzer < sorted[j].Analyzer
 	})
 	for _, t := range sorted {
-		fmt.Fprintf(w, "postopc-lint: timing %-12s %9.2fms\n", t.Analyzer, float64(t.Nanos)/1e6)
+		printTiming(w, t.Analyzer, t.Nanos)
 	}
+}
+
+func printTiming(w io.Writer, name string, nanos int64) {
+	fmt.Fprintf(w, "postopc-lint: timing %-12s %9.2fms\n", name, float64(nanos)/1e6)
 }

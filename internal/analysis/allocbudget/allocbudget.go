@@ -85,9 +85,6 @@ func run(pass *analysis.Pass) error {
 		pass.ExportObjectFact(obj, &AllocFree{})
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -110,9 +107,6 @@ func run(pass *analysis.Pass) error {
 func markedFuncs(pass *analysis.Pass) map[*types.Func]bool {
 	marked := map[*types.Func]bool{}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || !hasDirective(fd.Doc) {
@@ -265,10 +259,4 @@ func kindWord(pass *analysis.Pass, lit *ast.CompositeLit) string {
 		return "map"
 	}
 	return "slice"
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	name := pass.Fset.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

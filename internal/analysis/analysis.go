@@ -7,8 +7,8 @@
 // offline and the module tree is deliberately dependency-free), so this
 // package mirrors the upstream API shape closely enough that the domain
 // analyzers under internal/analysis/... could be ported to the real
-// framework by changing only import paths. The driver lives in
-// cmd/postopc-lint; the test harness in internal/analysis/analysistest.
+// framework by changing only import paths. The driver is
+// internal/analysis/driver; the test harness internal/analysis/analysistest.
 package analysis
 
 import (
@@ -16,7 +16,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -96,9 +95,9 @@ func (f Finding) String() string {
 }
 
 // RunWithFacts applies one analyzer to a type-checked package and returns
-// its findings with nolint suppressions already dropped, sorted by
-// position. Imported facts are resolved from the fact store and exported
-// facts are added to it; the store may be shared by concurrent passes.
+// its findings, in report order, with nolint suppressions already dropped.
+// Imported facts are resolved from the fact store and exported facts are
+// added to it.
 func RunWithFacts(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *Facts) ([]Finding, error) {
 	var diags []Diagnostic
 	pass := &Pass{
@@ -122,16 +121,6 @@ func RunWithFacts(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *type
 		}
 		out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
 	return out, nil
 }
 

@@ -41,9 +41,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || !isStageName(fd.Name.Name) {
@@ -118,10 +115,4 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 			fd.Name.Name, id.Name)
 		return true
 	})
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	name := pass.Fset.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

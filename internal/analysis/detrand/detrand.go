@@ -14,7 +14,6 @@ package detrand
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"postopc/internal/analysis"
 )
@@ -41,9 +40,6 @@ var constructors = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -90,10 +86,4 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 	return fn
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	name := pass.Fset.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

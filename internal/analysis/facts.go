@@ -5,7 +5,6 @@ import (
 	"go/types"
 	"reflect"
 	"sort"
-	"sync"
 )
 
 // Facts: typed values an analyzer attaches to objects while analyzing one
@@ -38,10 +37,9 @@ type objFactKey struct {
 	t   reflect.Type
 }
 
-// Facts is a concurrency-safe store of object facts shared by every pass
-// of one driver run.
+// Facts is the store of object facts shared by every pass of one driver
+// run. Passes run one at a time, so it needs no lock.
 type Facts struct {
-	mu  sync.RWMutex
 	obj map[objFactKey]Fact
 }
 
@@ -63,19 +61,13 @@ func factType(fact Fact) reflect.Type {
 // setObject stores an object fact, replacing any previous fact of the same
 // type on the same object.
 func (f *Facts) setObject(obj types.Object, fact Fact) {
-	k := objFactKey{obj, factType(fact)}
-	f.mu.Lock()
-	f.obj[k] = fact
-	f.mu.Unlock()
+	f.obj[objFactKey{obj, factType(fact)}] = fact
 }
 
 // getObject copies the stored fact of *fact's type for obj into fact and
 // reports whether one existed.
 func (f *Facts) getObject(obj types.Object, fact Fact) bool {
-	k := objFactKey{obj, factType(fact)}
-	f.mu.RLock()
-	stored, ok := f.obj[k]
-	f.mu.RUnlock()
+	stored, ok := f.obj[objFactKey{obj, factType(fact)}]
 	if !ok {
 		return false
 	}
@@ -92,14 +84,12 @@ type ObjectFact struct {
 // ObjectFactsOf returns every object fact attached to objects of the given
 // package, sorted by object position and fact type for determinism.
 func (f *Facts) ObjectFactsOf(pkg *types.Package) []ObjectFact {
-	f.mu.RLock()
 	var out []ObjectFact
 	for k, v := range f.obj {
 		if k.obj.Pkg() == pkg {
 			out = append(out, ObjectFact{Object: k.obj, Fact: v})
 		}
 	}
-	f.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if pi, pj := out[i].Object.Pos(), out[j].Object.Pos(); pi != pj {
 			return pi < pj

@@ -132,9 +132,6 @@ func run(pass *analysis.Pass) error {
 		embedded:  map[*types.Var]*types.TypeName{},
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !isSignatureFunc(fd) {
@@ -463,10 +460,4 @@ func checkForeignTypes(pass *analysis.Pass, cov *coverage) {
 				tn.Pkg().Name(), tn.Name(), f.Name())
 		}
 	}
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	name := pass.Fset.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

@@ -18,7 +18,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"strings"
 
 	"postopc/internal/analysis"
 )
@@ -27,17 +26,11 @@ import (
 type Package struct {
 	// ImportPath is the canonical import path.
 	ImportPath string
-	// Dir is the package source directory.
-	Dir string
 	// FactsOnly marks a package loaded purely as a dependency of the
 	// requested patterns: analyzers run over it so its facts reach
 	// importers, but its findings are not reported (the user did not ask
 	// about it).
 	FactsOnly bool
-	// Imports are the package's direct imports, as import paths. It
-	// includes standard-library imports; drivers intersect it with the
-	// loaded set to build the dependency graph facts flow along.
-	Imports []string
 	// Fset maps positions for Syntax.
 	Fset *token.FileSet
 	// Syntax holds the parsed files (comments included), one per GoFile.
@@ -52,138 +45,80 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Standard   bool
+	DepOnly    bool
 	GoFiles    []string
-	Imports    []string
 	Error      *struct{ Err string }
 }
 
-// Packages runs `go list` in dir on the given patterns and returns every
-// matched package parsed and type-checked. Test files are not loaded —
-// the analyzers enforce invariants on library code, and testdata trees are
-// never matched by the go command.
+// Packages runs `go list -deps` in dir on the given patterns and returns
+// every listed package parsed and type-checked, in the go command's order:
+// a package comes only after everything it imports. Test files are not
+// loaded — the analyzers enforce invariants on library code, and testdata
+// trees are never matched by the go command.
 //
-// Listed packages are checked in dependency order, and an importing
-// package resolves an import inside the loaded set to the very
-// *types.Package produced for it — never to an independent re-check by the
-// source importer. Object identity across the set is what lets analyzer
-// facts exported on a dependency's objects be found from its importers.
+// An importing package resolves an import inside the loaded set to the
+// very *types.Package produced for it — never to an independent re-check
+// by the source importer. Object identity across the set is what lets
+// analyzer facts exported on a dependency's objects be found from its
+// importers.
 //
 // In-module dependencies of the matched packages load too, marked
 // FactsOnly: their facts must reach the requested packages even when the
 // pattern names a subtree (linting ./internal/litho alone still sees the
 // allocfree annotations of internal/dsp), but nobody asked for their
 // findings. Standard-library dependencies are left to the source importer
-// — no analyzer exports facts on them.
+// — no analyzer exports facts on them. Patterns that match no package with
+// Go files are an error, so a mistyped pattern cannot pass silently.
 func Packages(dir string, patterns ...string) ([]*Package, error) {
-	requested, err := goListPaths(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := newImporter(fset)
-	st := &loadState{fset: fset, imp: imp, listed: map[string]*listedPackage{}, done: map[string]*Package{}}
-	imp.loaded = st
-	for _, lp := range listed {
-		if !lp.Standard {
-			st.listed[lp.ImportPath] = lp
-		}
-	}
+	src := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	loaded := map[string]*types.Package{}
 	var pkgs []*Package
+	requested := false
 	for _, lp := range listed {
 		if lp.Standard {
 			continue
 		}
-		p, err := st.load(lp)
-		if err != nil {
-			return nil, err
+		if lp.Error != nil {
+			return nil, fmt.Errorf("load %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		if p != nil {
-			p.FactsOnly = !requested[p.ImportPath]
-			pkgs = append(pkgs, p)
+		if len(lp.GoFiles) == 0 {
+			continue
 		}
-	}
-	return pkgs, nil
-}
-
-// loadState checks listed packages in dependency order, memoizing results
-// so each package is checked exactly once.
-type loadState struct {
-	fset   *token.FileSet
-	imp    *sharedImporter
-	listed map[string]*listedPackage
-	done   map[string]*Package
-}
-
-// load parses and type-checks one listed package after its in-set
-// dependencies. Import cycles cannot occur in valid Go; go list reports
-// them as package errors before we recurse.
-func (st *loadState) load(lp *listedPackage) (*Package, error) {
-	if p, ok := st.done[lp.ImportPath]; ok {
-		return p, nil
-	}
-	if lp.Error != nil {
-		return nil, fmt.Errorf("load %s: %s", lp.ImportPath, lp.Error.Err)
-	}
-	if len(lp.GoFiles) == 0 {
-		return nil, nil
-	}
-	for _, ipath := range lp.Imports {
-		if dep, ok := st.listed[ipath]; ok {
-			if _, err := st.load(dep); err != nil {
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
 				return nil, err
 			}
+			files = append(files, f)
 		}
-	}
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(st.fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		info := analysis.NewInfo()
+		conf := types.Config{Importer: dirImporter{src, loaded, lp.Dir}}
+		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
 		}
-		files = append(files, f)
+		loaded[lp.ImportPath] = tpkg
+		pkgs = append(pkgs, &Package{
+			ImportPath: lp.ImportPath,
+			FactsOnly:  lp.DepOnly,
+			Fset:       fset,
+			Syntax:     files,
+			Types:      tpkg,
+			Info:       info,
+		})
+		requested = requested || !lp.DepOnly
 	}
-	info := analysis.NewInfo()
-	conf := types.Config{Importer: st.imp.forDir(lp.Dir)}
-	tpkg, err := conf.Check(lp.ImportPath, st.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
+	if !requested {
+		return nil, fmt.Errorf("go list %v: matched no packages", patterns)
 	}
-	p := &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Imports:    lp.Imports,
-		Fset:       st.fset,
-		Syntax:     files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	st.done[lp.ImportPath] = p
-	return p, nil
-}
-
-// goListPaths enumerates the import paths the patterns themselves match —
-// the packages whose findings the caller asked for.
-func goListPaths(dir string, patterns []string) (map[string]bool, error) {
-	args := append([]string{"list"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
-	}
-	paths := map[string]bool{}
-	for _, line := range strings.Fields(string(out)) {
-		paths[line] = true
-	}
-	return paths, nil
+	return pkgs, nil
 }
 
 // goList enumerates packages matching the patterns plus every dependency
@@ -212,36 +147,21 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return listed, nil
 }
 
-// sharedImporter wraps the standard library's source importer, which
-// resolves both standard-library and in-module imports from source. One
-// instance is shared across all loaded packages so each dependency is
-// type-checked at most once per run; imports inside the loaded set resolve
-// to the loader's own check results, preserving object identity for facts.
-type sharedImporter struct {
-	from   types.ImporterFrom
-	loaded *loadState
-}
-
-func newImporter(fset *token.FileSet) *sharedImporter {
-	return &sharedImporter{from: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
-}
-
-// forDir returns a types.Importer that resolves imports relative to the
-// importing package's directory (required for correct module resolution).
-func (s *sharedImporter) forDir(dir string) types.Importer {
-	return dirImporter{s, dir}
-}
-
+// dirImporter resolves the imports of the package in dir. An import inside
+// the loaded set resolves to the loader's own check result, preserving
+// object identity for facts; anything else goes to the standard library's
+// source importer, shared across the run so each dependency is
+// type-checked from source at most once. Resolving relative to the
+// importing package's directory is what module resolution requires.
 type dirImporter struct {
-	shared *sharedImporter
+	src    types.ImporterFrom
+	loaded map[string]*types.Package
 	dir    string
 }
 
 func (d dirImporter) Import(path string) (*types.Package, error) {
-	if st := d.shared.loaded; st != nil {
-		if p, ok := st.done[path]; ok {
-			return p.Types, nil
-		}
+	if p, ok := d.loaded[path]; ok {
+		return p, nil
 	}
-	return d.shared.from.ImportFrom(path, d.dir, 0)
+	return d.src.ImportFrom(path, d.dir, 0)
 }

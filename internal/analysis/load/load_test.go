@@ -1,8 +1,10 @@
 package load_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,7 +74,7 @@ func TestTestFilesNotLoaded(t *testing.T) {
 	}
 	for _, name := range fileNames(pkgs[0]) {
 		if strings.HasSuffix(name, "_test.go") {
-			t.Errorf("test file %s was loaded; analyzers cover test files via the vet protocol, not the standalone loader", name)
+			t.Errorf("test file %s was loaded; the loader must read only a package's GoFiles", name)
 		}
 	}
 }
@@ -115,6 +117,54 @@ func TestImportsResolveToLoadedPackages(t *testing.T) {
 	for _, imp := range use.Types.Imports() {
 		if imp.Path() == "tmpmod/d" && imp != dep.Types {
 			t.Errorf("importer re-checked tmpmod/d: facts on its objects would be unreachable")
+		}
+	}
+}
+
+// TestNoPackagesMatchedFails: go list only warns on stderr when a pattern
+// matches nothing, so the loader must turn that into an error — a lint run
+// over a mistyped pattern would otherwise pass with no findings.
+func TestNoPackagesMatchedFails(t *testing.T) {
+	dir := write(t, map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.24\n",
+		"p/a.go": "package p\n",
+	})
+	_, err := load.Packages(dir, "./zz...")
+	if err == nil {
+		t.Fatal("load succeeded; want an error for a pattern that matches no package")
+	}
+	if !strings.Contains(err.Error(), "./zz...") {
+		t.Errorf("error %q does not name the pattern", err)
+	}
+}
+
+// TestDependencyOrder pins what the driver's single pass relies on:
+// packages come back with every loaded import before its importer, and
+// only the packages the patterns match are reported (not FactsOnly).
+func TestDependencyOrder(t *testing.T) {
+	dir := write(t, map[string]string{
+		"go.mod":     "module tmpmod\n\ngo 1.24\n",
+		"dep/dep.go": "package dep\n\ntype T struct{}\n",
+		"mid/mid.go": "package mid\n\nimport \"tmpmod/dep\"\n\nvar V dep.T\n",
+		"top/top.go": "package top\n\nimport \"tmpmod/mid\"\n\nvar W = mid.V\n",
+	})
+	for _, tc := range []struct {
+		pattern string
+		want    []string // import path:FactsOnly, in load order
+	}{
+		{"./top", []string{"tmpmod/dep:true", "tmpmod/mid:true", "tmpmod/top:false"}},
+		{"./...", []string{"tmpmod/dep:false", "tmpmod/mid:false", "tmpmod/top:false"}},
+	} {
+		pkgs, err := load.Packages(dir, tc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, fmt.Sprintf("%s:%v", p.ImportPath, p.FactsOnly))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: loaded %v; want %v", tc.pattern, got, tc.want)
 		}
 	}
 }

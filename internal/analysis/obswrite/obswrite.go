@@ -12,8 +12,8 @@
 // boundary: package main, and the CLI's reporting sites, which carry
 // explicit //postopc:nolint:obswrite suppressions.
 //
-// The analyzer flags, outside package main, _test.go files and the obs
-// package itself: calls to the obs read API (Counter.Value, Gauge.Value,
+// The analyzer flags, outside package main and the obs package itself:
+// calls to the obs read API (Counter.Value, Gauge.Value,
 // Registry.Snapshot, Tracer.Events, Tracer.SummaryTable,
 // Tracer.WriteChromeTrace, WritePrometheus, Handler, plus the run-ledger
 // and flight-recorder read half — WriteLedger, ReadLedger, SummaryTables,
@@ -63,9 +63,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -124,10 +121,4 @@ func isObsSpanType(t types.Type) bool {
 // analyzer fixtures.
 func isObsPath(path string) bool {
 	return path == "obs" || strings.HasSuffix(path, "/obs")
-}
-
-// isTestFile reports whether the file is a _test.go file.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	name := pass.Fset.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

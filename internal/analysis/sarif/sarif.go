@@ -3,8 +3,8 @@
 // most SARIF viewers). Output is fully deterministic: rules are sorted by
 // analyzer name, results arrive in the driver's canonical order, URIs are
 // root-relative with forward slashes, and the encoder is encoding/json
-// over fixed-order structs — so a SARIF file is byte-identical between
-// serial and parallel driver runs.
+// over fixed-order structs — so the same findings always render to the
+// same bytes.
 package sarif
 
 import (

@@ -267,14 +267,3 @@ func (s *Store) Stats() Stats {
 	}
 	return st
 }
-
-// Do is the typed wrapper over Store.Do: it preserves the compute
-// callback's result type across the cache.
-func Do[T any](s *Store, k Key, compute func() (T, error)) (T, error) {
-	v, err := s.Do(k, func() (any, error) { return compute() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
-}

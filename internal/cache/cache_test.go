@@ -67,16 +67,13 @@ func TestSingleFlight(t *testing.T) {
 func TestHitAfterCompletion(t *testing.T) {
 	s := New(64)
 	calls := 0
-	get := func() (int, error) {
-		return Do(s, keyOf(1), func() (int, error) {
+	for i := 0; i < 5; i++ {
+		v, err := s.Do(keyOf(1), func() (any, error) {
 			calls++
 			return 99, nil
 		})
-	}
-	for i := 0; i < 5; i++ {
-		v, err := get()
 		if err != nil || v != 99 {
-			t.Fatalf("get %d = (%d, %v), want (99, nil)", i, v, err)
+			t.Fatalf("get %d = (%v, %v), want (99, nil)", i, v, err)
 		}
 	}
 	if calls != 1 {
@@ -131,7 +128,7 @@ func TestEvictionBound(t *testing.T) {
 		return k
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := Do(s, key(i), func() (int, error) { return i, nil }); err != nil {
+		if _, err := s.Do(key(i), func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,14 +138,14 @@ func TestEvictionBound(t *testing.T) {
 	}
 	// The newest entry survived; the oldest was evicted and recomputes.
 	recomputed := false
-	if _, err := Do(s, key(0), func() (int, error) { recomputed = true; return 0, nil }); err != nil {
+	if _, err := s.Do(key(0), func() (any, error) { recomputed = true; return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !recomputed {
 		t.Fatal("oldest key was still cached after eviction")
 	}
 	kept := false
-	if _, err := Do(s, key(0), func() (int, error) { kept = true; return 0, nil }); err != nil {
+	if _, err := s.Do(key(0), func() (any, error) { kept = true; return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if kept {
@@ -168,9 +165,9 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := keyOf(byte(i % 13))
 				want := fmt.Sprintf("v%d", i%13)
-				v, err := Do(s, k, func() (string, error) { return want, nil })
+				v, err := s.Do(k, func() (any, error) { return want, nil })
 				if err != nil || v != want {
-					t.Errorf("goroutine %d: Do = (%q, %v), want (%q, nil)", g, v, err, want)
+					t.Errorf("goroutine %d: Do = (%v, %v), want (%q, nil)", g, v, err, want)
 					return
 				}
 			}

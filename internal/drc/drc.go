@@ -74,14 +74,14 @@ func CheckCell(p *pdk.PDK, c *layout.Cell) []Violation {
 		for _, r := range rg.NarrowerThan(lr.width) {
 			out = append(out, Violation{
 				Rule: name + ".width", At: r,
-				RequiredNM: lr.width, MeasuredNM: minC(r.W(), r.H()),
+				RequiredNM: lr.width, MeasuredNM: min(r.W(), r.H()),
 				Context: c.Name,
 			})
 		}
 		for _, r := range rg.GapsNarrowerThan(lr.space) {
 			out = append(out, Violation{
 				Rule: name + ".space", At: r,
-				RequiredNM: lr.space, MeasuredNM: minC(r.W(), r.H()),
+				RequiredNM: lr.space, MeasuredNM: min(r.W(), r.H()),
 				Context: c.Name,
 			})
 		}
@@ -164,22 +164,15 @@ func CheckWindow(p *pdk.PDK, ch *layout.Chip, window geom.Rect) []Violation {
 				continue
 			}
 			out = append(out, Violation{Rule: name + ".width", At: r,
-				RequiredNM: lr.width, MeasuredNM: minC(r.W(), r.H()), Context: ch.Name})
+				RequiredNM: lr.width, MeasuredNM: min(r.W(), r.H()), Context: ch.Name})
 		}
 		for _, r := range rg.GapsNarrowerThan(lr.space) {
 			if !interior.ContainsRect(r) {
 				continue
 			}
 			out = append(out, Violation{Rule: name + ".space", At: r,
-				RequiredNM: lr.space, MeasuredNM: minC(r.W(), r.H()), Context: ch.Name})
+				RequiredNM: lr.space, MeasuredNM: min(r.W(), r.H()), Context: ch.Name})
 		}
 	}
 	return out
-}
-
-func minC(a, b geom.Coord) geom.Coord {
-	if a < b {
-		return a
-	}
-	return b
 }

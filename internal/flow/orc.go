@@ -133,7 +133,7 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 	var tiles []geom.Rect // row-major: the deterministic merge order
 	for ty := die.Y0; ty < die.Y1; ty += opt.TileNM {
 		for tx := die.X0; tx < die.X1; tx += opt.TileNM {
-			tiles = append(tiles, geom.R(tx, ty, minC(tx+opt.TileNM, die.X1), minC(ty+opt.TileNM, die.Y1)))
+			tiles = append(tiles, geom.R(tx, ty, min(tx+opt.TileNM, die.X1), min(ty+opt.TileNM, die.Y1)))
 		}
 	}
 	// Run-shape manifest fields for the ledger (see ExtractGates).
@@ -370,8 +370,8 @@ func scanBridges(env *stageEnv, im *litho.Image, rects []geom.Rect,
 			if b.X0 < a.X1 || b.X0-a.X1 > maxSpace {
 				continue
 			}
-			y0 := maxC(a.Y0, b.Y0)
-			y1 := minC(a.Y1, b.Y1)
+			y0 := max(a.Y0, b.Y0)
+			y1 := min(a.Y1, b.Y1)
 			if y1 <= y0 {
 				continue
 			}
@@ -405,18 +405,4 @@ func nearestInstance(chip *layout.Chip, p geom.Point) string {
 		return in.Name
 	}
 	return ""
-}
-
-func minC(a, b geom.Coord) geom.Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b geom.Coord) geom.Coord {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -103,10 +103,3 @@ func TestVerifyChipHotspotsSorted(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

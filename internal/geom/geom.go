@@ -43,17 +43,3 @@ func absC(v Coord) Coord {
 	}
 	return v
 }
-
-func minC(a, b Coord) Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b Coord) Coord {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -61,7 +61,7 @@ func (r Rect) ContainsRect(s Rect) bool {
 
 // Intersect returns the intersection of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{maxC(r.X0, s.X0), maxC(r.Y0, s.Y0), minC(r.X1, s.X1), minC(r.Y1, s.Y1)}
+	out := Rect{max(r.X0, s.X0), max(r.Y0, s.Y0), min(r.X1, s.X1), min(r.Y1, s.Y1)}
 	if out.Empty() {
 		return Rect{}
 	}
@@ -82,7 +82,7 @@ func (r Rect) Union(s Rect) Rect {
 	if s.Empty() {
 		return r
 	}
-	return Rect{minC(r.X0, s.X0), minC(r.Y0, s.Y0), maxC(r.X1, s.X1), maxC(r.Y1, s.Y1)}
+	return Rect{min(r.X0, s.X0), min(r.Y0, s.Y0), max(r.X1, s.X1), max(r.Y1, s.Y1)}
 }
 
 // Expand grows r by d on every side (shrinks for negative d). The result is
@@ -120,10 +120,10 @@ func BBoxOf(pts []Point) Rect {
 	}
 	b := Rect{pts[0].X, pts[0].Y, pts[0].X, pts[0].Y}
 	for _, p := range pts[1:] {
-		b.X0 = minC(b.X0, p.X)
-		b.Y0 = minC(b.Y0, p.Y)
-		b.X1 = maxC(b.X1, p.X)
-		b.Y1 = maxC(b.Y1, p.Y)
+		b.X0 = min(b.X0, p.X)
+		b.Y0 = min(b.Y0, p.Y)
+		b.X1 = max(b.X1, p.X)
+		b.Y1 = max(b.Y1, p.Y)
 	}
 	return b
 }

@@ -2,10 +2,10 @@ package obs
 
 import "math"
 
-// HDR-style log-linear latency buckets. The PR 5 grid (LatencyBuckets,
-// 15 half-decade steps) bounds any bucket-derived percentile to a ~3.2×
-// band; that is fine for spotting a stage that fell off a cliff and
-// useless for a regression gate that must resolve a 20% shift. The
+// HDR-style log-linear latency buckets. A coarse half-decade grid bounds
+// any bucket-derived percentile to a ~3.2× band; that is fine for
+// spotting a stage that fell off a cliff and useless for a regression
+// gate that must resolve a 20% shift. The
 // log-linear layout fixes the resolution without giving up the fixed
 // atomic-array histogram: each power-of-two octave is divided into
 // hdrSubBuckets equal linear sub-buckets, so the relative quantization

@@ -57,7 +57,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := reg.Counter("shared.counter")
-			h := reg.Histogram("shared.hist", LatencyBuckets)
+			h := reg.Histogram("shared.hist", []float64{10, 100, 1000})
 			g := reg.Gauge("shared.gauge")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
@@ -96,7 +96,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 				defer wg.Done()
 				reg.Counter(n).Inc()
 				reg.Gauge(n).Set(1)
-				reg.Histogram(n, LatencyBuckets).Observe(1)
+				reg.Histogram(n, []float64{10, 100, 1000}).Observe(1)
 			}(n)
 		}
 		wg.Wait()
@@ -146,8 +146,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // must panic rather than silently fork the series.
 func TestHistogramReRegistration(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Histogram("h", LatencyBuckets)
-	if b := reg.Histogram("h", LatencyBuckets); a != b {
+	bounds := []float64{10, 100, 1000}
+	a := reg.Histogram("h", bounds)
+	if b := reg.Histogram("h", bounds); a != b {
 		t.Fatal("re-resolution returned a different handle")
 	}
 	defer func() {

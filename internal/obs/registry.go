@@ -62,16 +62,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// LatencyBuckets are the coarse half-decade histogram bounds for duration
-// metrics, in nanoseconds: steps from 1µs to 10s. Latencies below the
-// first bound land in bucket 0; anything past the last bound lands in the
-// implicit +Inf bucket. Sink.LatencyHistogram now resolves the HDR
-// log-linear grid (HDRLatencyBuckets, hdr.go) instead — this grid remains
-// for callers that want few-bucket exports over quantile resolution.
-var LatencyBuckets = []float64{
-	1e3, 3.2e3, 1e4, 3.2e4, 1e5, 3.2e5, 1e6, 3.2e6, 1e7, 3.2e7, 1e8, 3.2e8, 1e9, 3.2e9, 1e10,
-}
-
 // CountBuckets are the default histogram bounds for small-count
 // distributions (gates evaluated per analysis, items per batch): roughly
 // half-decade steps from 1 to 100k. Counts past the last bound land in the

@@ -112,10 +112,10 @@ func routeNet(name string, pins []geom.Point, w geom.Coord) *Net {
 		dy := absC(b.Y - a.Y)
 		out.LengthNM += dx + dy
 		if dx > 0 {
-			out.HSegs = append(out.HSegs, geom.R(minC(a.X, b.X)-half, a.Y-half, maxC(a.X, b.X)+half, a.Y+half))
+			out.HSegs = append(out.HSegs, geom.R(min(a.X, b.X)-half, a.Y-half, max(a.X, b.X)+half, a.Y+half))
 		}
 		if dy > 0 {
-			out.VSegs = append(out.VSegs, geom.R(b.X-half, minC(a.Y, b.Y)-half, b.X+half, maxC(a.Y, b.Y)+half))
+			out.VSegs = append(out.VSegs, geom.R(b.X-half, min(a.Y, b.Y)-half, b.X+half, max(a.Y, b.Y)+half))
 		}
 		if dx > 0 && dy > 0 {
 			out.Vias++ // the L corner
@@ -154,18 +154,4 @@ func absC(v geom.Coord) geom.Coord {
 		return -v
 	}
 	return v
-}
-
-func minC(a, b geom.Coord) geom.Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b geom.Coord) geom.Coord {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -297,17 +297,3 @@ func outputPin(base string) string {
 func squareAt(center geom.Point, size geom.Coord) geom.Rect {
 	return geom.R(center.X-size/2, center.Y-size/2, center.X+size/2, center.Y+size/2)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b geom.Coord) geom.Coord {
-	if a > b {
-		return a
-	}
-	return b
-}
