@@ -59,14 +59,15 @@ bench-smoke:
 
 # Kernel-engine smoke: asserts the steady-state allocation budget of the
 # imaging hot path (TestKernelAllocBudget), runs the kernel report bench
-# once (-short trims its sample count), then the vek inner-loop micro
+# (-short trims its sample count) and the fast model's strip-window bench
+# once, then the vek inner-loop micro
 # series (complex128 reference vs SoA kernels — butterfly, filter apply,
 # intensity accumulate, inverse scale — and the blur's row and column tap
 # sums against their Go loops). On an AVX2 host the kernels run the AVX2
 # path; add -tags purego to measure the Go reference loops. Reference
 # numbers: BENCH_kernel.json.
 bench-kernel:
-	$(GO) test -short -run=TestKernelAllocBudget -bench=KernelReport -benchtime=1x ./internal/litho/
+	$(GO) test -short -run=TestKernelAllocBudget -bench='KernelReport|GaussianAerialStrip' -benchtime=1x ./internal/litho/
 	$(GO) test -run=NONE -bench=KernelInnerLoops -benchtime=100ms ./internal/dsp/vek/
 
 # Telemetry-overhead smoke: asserts that a disabled sink adds zero

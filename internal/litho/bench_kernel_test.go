@@ -122,6 +122,64 @@ func BenchmarkGaussianAerial(b *testing.B) {
 	}
 }
 
+// opcStripMask is an OPC-like strip-window mask, nx × 753 px at 10 nm:
+// three cell rows of a 9-line 90/250 poly grating, 2 µm lines with 510 nm
+// between rows, a poly bar and a contact. Each line edge is cut as OPC
+// fragments it (60 nm at a line end, then 140 nm); the three fragments at
+// each end carry their own biases of up to 6 nm and the interior fragments
+// one converged bias. Most rows have the same bits as the row above, and
+// the line interiors and row gaps give flat bands, as on the masks OPC
+// hands the fast model.
+func opcStripMask(nx int) *geom.Raster {
+	w := geom.Coord(nx) * 10
+	ra := geom.NewRaster(geom.R(-w/2, -3765, w-w/2, 3765), 10)
+	la := LineArray{WidthNM: 90, PitchNM: 250, Count: 9, LengthNM: 2000}
+	cuts := []geom.Coord{0, 60, 200, 340, 1660, 1800, 1940, 2000}
+	bias := []geom.Coord{6, 4, -3, 2, -5}
+	for row := geom.Coord(-1); row <= 1; row++ {
+		for li, r := range la.Rects() {
+			y0 := r.Y0 + row*2510
+			for k := 0; k+1 < len(cuts); k++ {
+				left, right := bias[(k+li)%len(bias)], bias[(k+2*li+1)%len(bias)]
+				if k == 3 {
+					left, right = 2, 3
+				}
+				ra.AddRect(geom.R(r.X0-left, y0+cuts[k], r.X1+right, y0+cuts[k+1]))
+			}
+		}
+	}
+	ra.AddRect(geom.R(-1100, 3300, 900, 3420))
+	ra.AddRect(geom.R(430, -2900, 555, -2760))
+	ra.Clamp()
+	return ra
+}
+
+// BenchmarkGaussianAerialStrip times the fast model as the OPC loop calls
+// it on a strip window: one nominal Aerial of the dual model at the PDK
+// calibration (σ2 = 200 nm, w = −0.10) on opcStripMask, 251, 252 or 254 px
+// wide. Only 252 px rows are whole 4-float vectors.
+func BenchmarkGaussianAerialStrip(b *testing.B) {
+	m, err := NewGaussianDual(testRecipe(), 200, -0.10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, nx := range []int{251, 252, 254} {
+		mask := opcStripMask(nx)
+		b.Run(fmt.Sprintf("%dx%d", mask.Nx, mask.Ny), func(b *testing.B) {
+			if _, err := m.Aerial(mask, Nominal); err != nil { // warm the scratch
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Aerial(mask, Nominal); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // kernelPrintGuards backs printKernelOnce (same pattern as the root bench
 // harness): the testing package re-invokes fast benchmarks with growing
 // b.N, and every invocation restarts at i == 0.

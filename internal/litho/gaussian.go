@@ -87,12 +87,15 @@ func (g *Gaussian) SigmaAt(defocusNM float64) float64 {
 func (g *Gaussian) Aerial(mask *geom.Raster, c Corner) (*Image, error) {
 	t0 := g.hAerial.StartTimer()
 	ks := borrowKernelScratch()
+	ks.markRepeats(mask)
 	im, err := g.aerial(mask, c, ks)
 	ks.release()
 	g.hAerial.ObserveSince(t0)
 	return im, err
 }
 
+// aerial images mask at corner c on the kernel scratch ks, whose repeat
+// runs must already describe mask (see markRepeats).
 func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Image, error) {
 	if mask.Nx == 0 || mask.Ny == 0 {
 		return nil, ErrEmptyMask
@@ -126,27 +129,59 @@ func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Imag
 	return out, nil
 }
 
+// markRepeats sets ks.rep[iy], for every row iy of mask, to the number of
+// rows directly above it that hold the same coverage bits: 0 for the first
+// row and for a row that differs from the one above. The runs depend on
+// the mask alone, so they are computed once per mask and read by the blur
+// of both kernel components at every corner (see blurAmplitude).
+func (ks *kernelScratch) markRepeats(mask *geom.Raster) {
+	nx, ny := mask.Nx, mask.Ny
+	if cap(ks.rep) < ny {
+		ks.rep = make([]int32, ny)
+	}
+	ks.rep = ks.rep[:ny]
+	rep := ks.rep
+	for iy := range rep {
+		rep[iy] = 0
+		if iy > 0 && sameBits(mask.Data[(iy-1)*nx:iy*nx], mask.Data[iy*nx:(iy+1)*nx]) {
+			rep[iy] = rep[iy-1] + 1
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same IEEE-754 bit patterns.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // blurAmplitude blurs the mask's transmission amplitude (1−cov in clear
 // field, cov in dark field) into dst with an isotropic Gaussian of the
 // given sigma, extending edges with the background level, which it
 // returns (1 in clear field, 0 in dark field). The kernel is truncated at
 // 3σ and normalized to unit sum so a uniform field is preserved exactly.
 // dst must have Nx*Ny elements; its prior contents are ignored. Work
-// buffers come from ks.
+// buffers come from ks, and ks.rep must hold mask's repeat runs
+// (markRepeats).
 //
 // Both passes add the taps of every output pixel in ascending order,
 // starting from +0, with no FMA, on every vek kernel path, so the images
 // are bit-identical whichever path runs (TestGaussianAerialGoldenSHA).
+// A row whose inputs have the same bits as the previous row's is copied
+// instead of summed, which gives the same bits.
 func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px float64, ks *kernelScratch) float64 {
 	bg := 1.0
 	if pol == DarkField {
 		bg = 0
 	}
 	nx, ny := mask.Nx, mask.Ny
-	half := int(math.Ceil(3 * sigma / px))
-	if half < 1 {
-		half = 1
-	}
+	rep := ks.rep[:ny]
+	half := blurHalf(sigma, px)
 	ks.kern = growFloats(ks.kern, 2*half+1)
 	kern := ks.kern
 	var ksum float64
@@ -163,7 +198,13 @@ func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px flo
 	// fills are constant across rows, so they are written once) and
 	// convolved into row half+iy of tmp. tmp carries half background rows
 	// above and below the image, so the vertical pass has no edge case.
-	ks.tmp = growFloats(ks.tmp, nx*(ny+2*half))
+	// Its rows are stride floats apart, nx rounded up to whole 4-float
+	// vectors, so on a 32-byte-aligned plane every row starts 32-byte
+	// aligned and the kernels' 4-wide loads and stores of tmp split no
+	// cache line, but for a row's overlapping last block. A mask row with
+	// the same bits as the row above copies the tmp row above.
+	stride := (nx + 3) &^ 3
+	ks.tmp = growFloats(ks.tmp, stride*(ny+2*half))
 	tmp := ks.tmp
 	ks.pad = growFloats(ks.pad, nx+2*half)
 	pad := ks.pad
@@ -171,13 +212,18 @@ func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px flo
 		pad[i] = bg
 		pad[nx+half+i] = bg
 	}
-	edge := half * nx
+	edge := half * stride
 	for i := 0; i < edge; i++ {
 		tmp[i] = bg
 		tmp[len(tmp)-edge+i] = bg
 	}
 	amp := pad[half : half+nx]
 	for iy := 0; iy < ny; iy++ {
+		row := tmp[(half+iy)*stride : (half+iy)*stride+nx]
+		if rep[iy] > 0 {
+			copy(row, tmp[(half+iy-1)*stride:])
+			continue
+		}
 		cov := mask.Data[iy*nx : (iy+1)*nx]
 		if pol == ClearField {
 			for ix, v := range cov {
@@ -186,14 +232,30 @@ func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px flo
 		} else {
 			copy(amp, cov) // opening passes light
 		}
-		vek.ConvRow(tmp[(half+iy)*nx:(half+iy+1)*nx], pad, kern)
+		vek.ConvRow(row, pad, kern)
 	}
 	// Vertical pass: one column convolution per output row, whose
-	// accumulators stay in registers across all 2·half+1 taps.
+	// accumulators stay in registers across all 2·half+1 taps. Output row
+	// iy reads tmp rows iy … iy+2·half, which hold mask rows iy−half …
+	// iy+half. When mask rows iy−half−1 … iy+half are one repeated row,
+	// rows iy−1 and iy read the same values at every tap, so row iy−1 is
+	// copied.
+	flat := int32(2*half + 1)
 	for iy := 0; iy < ny; iy++ {
-		vek.ConvCol(dst[iy*nx:(iy+1)*nx], tmp[iy*nx:], nx, kern)
+		out := dst[iy*nx : (iy+1)*nx]
+		if iy+half < ny && rep[iy+half] >= flat {
+			copy(out, dst[(iy-1)*nx:])
+			continue
+		}
+		vek.ConvCol(out, tmp[iy*stride:], stride, kern)
 	}
 	return bg
+}
+
+// blurHalf is the half-width, in pixels, of the blur kernel of the given
+// sigma: 3σ rounded up, at least one pixel.
+func blurHalf(sigma, px float64) int {
+	return max(int(math.Ceil(3*sigma/px)), 1)
 }
 
 // AerialSeries implements Model, sharing simulations between corners that
@@ -211,8 +273,10 @@ func (g *Gaussian) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, 
 }
 
 // series images mask at every corner on the kernel scratch ks, aliasing
-// corners that share a defocus (see doseAlias).
+// corners that share a defocus (see doseAlias). The mask's repeat runs are
+// marked once and shared by every corner.
 func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch) ([]*Image, error) {
+	ks.markRepeats(mask)
 	out := make([]*Image, len(corners))
 	for ci, c := range corners {
 		if cj := doseAlias(corners, ci); cj != ci {

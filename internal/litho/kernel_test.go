@@ -2,7 +2,9 @@ package litho
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"postopc/internal/geom"
@@ -186,8 +188,10 @@ func TestFilterBankReuse(t *testing.T) {
 // TestKernelAllocBudget asserts the steady-state allocation budget of the
 // imaging hot path: with warm pools and filter bank, a window simulation
 // allocates only the returned Image (struct + Data) plus the series slice.
-// GC is disabled during the measurement so sync.Pool contents survive —
-// the budget is about the code path, not GC timing.
+// Both models' scratch comes from free lists that keep it across garbage
+// collections (TestKernelScratchSurvivesGC, dsp's TestBorrowGridSurvivesGC);
+// GC is still disabled during the measurement so that the count is about
+// the code path alone, not GC timing.
 func TestKernelAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is asserted in the non-race run")
@@ -225,4 +229,94 @@ func TestKernelAllocBudget(t *testing.T) {
 	}); got > budget {
 		t.Errorf("Gaussian AerialSeries allocs/op = %g, budget %d", got, budget)
 	}
+}
+
+// The kernel scratch free list keeps returned scratch across garbage
+// collections and hands it out again with its blur planes: the scratch of
+// two imaging workers, borrowed at once and returned, comes back after two
+// collections, planes and all, and borrowing it and growing its planes to
+// the size they had allocates nothing. The allocations are counted apart
+// from the collections, because runtime.GC allocates in this test binary
+// (the unique package cleans up net/netip's map after every cycle).
+func TestKernelScratchSurvivesGC(t *testing.T) {
+	const peak, plane = 2, 1 << 16
+	var first [peak]*kernelScratch
+	for i := range first {
+		first[i] = borrowKernelScratch()
+		first[i].tmp = growFloats(first[i].tmp, plane)
+	}
+	for _, s := range first {
+		s.release()
+	}
+	borrow := func() {
+		var ss [peak]*kernelScratch
+		for i := range ss {
+			ss[i] = borrowKernelScratch()
+			ss[i].tmp = growFloats(ss[i].tmp, plane)
+		}
+		for _, s := range ss {
+			s.release()
+		}
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		runtime.GC()
+		runtime.GC()
+		var again [peak]*kernelScratch
+		for i := range again {
+			again[i] = borrowKernelScratch()
+		}
+		for _, s := range again {
+			found := false
+			for _, f := range first {
+				found = found || f == s
+			}
+			if !found {
+				t.Fatal("a scratch returned before two collections was not handed out again")
+			}
+			if cap(s.tmp) < plane {
+				t.Fatalf("a scratch came back with a %d-float plane, want its %d floats", cap(s.tmp), plane)
+			}
+			s.release()
+		}
+		if allocs := testing.AllocsPerRun(3, borrow); allocs != 0 {
+			t.Fatalf("borrowing %d pooled scratches after two collections allocated %v times, want 0", peak, allocs)
+		}
+	}
+}
+
+// Goroutines imaging at once share the kernel scratch free list: each must
+// get, bit for bit, the image a serial call gives. Run with -race this
+// also checks the list's locking.
+func TestGaussianConcurrentImaging(t *testing.T) {
+	g, err := NewGaussianDual(testRecipe(), 200, -0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := []*geom.Raster{smallMask(), windowMask(211), benchMask256()}
+	want := make([]*Image, len(masks))
+	for i, m := range masks {
+		if want[i], err = g.Aerial(m, Nominal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range masks {
+				i := (w + k) % len(masks)
+				im, err := g.Aerial(masks[i], Nominal)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if p := sameImage(im, want[i]); p >= 0 {
+					t.Errorf("worker %d, mask %d: pixel %d differs from the serial image", w, i, p)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

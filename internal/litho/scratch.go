@@ -12,8 +12,9 @@ import (
 // needs several full-size float work buffers (the fast model's convolution
 // planes and pad rows; the Abbe model borrows its plane grids from dsp);
 // full-chip runs simulate thousands of equally-sized windows from
-// concurrent workers, so the buffers are recycled through sync.Pools and
-// steady-state simulation allocates only the returned *Image.
+// concurrent workers, so the buffers are recycled (kernel scratch through
+// a free list, mask rasters through a sync.Pool) and steady-state
+// simulation allocates only the returned *Image.
 //
 // Lifetime rules: a kernelScratch (and every slice grown from it) is owned
 // by exactly one Aerial/AerialSeries call between borrow and release, and
@@ -69,20 +70,44 @@ type kernelScratch struct {
 	tmp   []float64 // Gaussian: horizontal-pass plane with background rows
 	pad   []float64 // Gaussian: background-padded amplitude row
 	kern  []float64 // Gaussian: normalized 1-D kernel taps
+	rep   []int32   // Gaussian: the mask's repeat runs (markRepeats)
 }
 
-var kernelScratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
+// kernelScratchFree is the free list of kernel scratch. Like dsp's grid
+// pool (see dsp.BorrowFGrid) it allocates only when every scratch it has
+// made is out, so it holds at most as many as were once borrowed at the
+// same time (one per goroutine imaging at that moment), and it keeps them
+// across garbage collections: a sync.Pool drops a scratch that sat idle
+// through two of them, and growFloats then reallocates its blur planes
+// (1.5 MB each on a 251×753 px strip window) for the next window.
+var kernelScratchFree struct {
+	mu   sync.Mutex
+	list []*kernelScratch
+}
 
 //postopc:allocfree
 func borrowKernelScratch() *kernelScratch {
 	poolBorrowed()
-	return kernelScratchPool.Get().(*kernelScratch)
+	var s *kernelScratch
+	kernelScratchFree.mu.Lock()
+	if n := len(kernelScratchFree.list); n > 0 {
+		s = kernelScratchFree.list[n-1]
+		kernelScratchFree.list[n-1] = nil
+		kernelScratchFree.list = kernelScratchFree.list[:n-1]
+	}
+	kernelScratchFree.mu.Unlock()
+	if s == nil {
+		s = new(kernelScratch) //postopc:nolint:allocbudget pool miss before warm-up is the cold path
+	}
+	return s
 }
 
 //postopc:allocfree
 func (s *kernelScratch) release() {
 	poolReturned()
-	kernelScratchPool.Put(s)
+	kernelScratchFree.mu.Lock()
+	kernelScratchFree.list = append(kernelScratchFree.list, s) //postopc:nolint:allocbudget the list grows only while the peak number of scratches out at once rises
+	kernelScratchFree.mu.Unlock()
 }
 
 // growFloats returns a slice of length n, reusing s when its capacity

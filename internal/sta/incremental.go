@@ -39,8 +39,12 @@ import (
 // "sta.incremental_fallbacks_<reason>_total" (see fallbackReasonNames).
 // Telemetry: "sta.incremental_analyses_total", "sta.incremental_gate_evals"
 // (candidates re-evaluated) and "sta.incremental_cone_gates" (arrivals
-// recomputed).
+// recomputed). Non-finite boundary conditions and annotated lengths fail as
+// they do in Analyze.
 func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if g.refuse(cfg, ann, base) {
 		return g.Analyze(cfg, ann)
 	}

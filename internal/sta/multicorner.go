@@ -136,10 +136,14 @@ type mcWorker struct {
 // deterministic worker pool; each pool slot owns one analysis state —
 // evals, arrivals, endpoints and cone marks — that every sample it runs
 // overwrites, so a sample costs only its cone. ann is called once per
-// sample, from the worker that runs it.
+// sample, from the worker that runs it. Non-finite boundary conditions and
+// annotated lengths fail as they do in Analyze.
 func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func(i int) Annotations, opt MonteCarloOptions) (wns, leak []float64, err error) {
 	if n <= 0 {
 		return nil, nil, nil
+	}
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
 	}
 	workers := opt.Workers
 	if workers <= 0 {

@@ -148,6 +148,9 @@ func (g *Graph) AnalyzeSSTA(cfg Config, params SSTAParams, arcs CanonicalArcs) (
 	if arcs == nil {
 		return nil, fmt.Errorf("sta: SSTA needs a CanonicalArcs model")
 	}
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	n := g.Netlist
 	// Net loads as the deterministic engine computes them (input caps are
 	// annotation-independent in this library). netLoads applies the

@@ -10,6 +10,7 @@
 package sta
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -48,6 +49,30 @@ type Config struct {
 	// per-gate-sink CWireFF a nil map would use. Supplying an explicit
 	// zero entry is the way to declare a net wire-free.
 	WireLoads map[string]float64
+}
+
+// ErrNonFiniteConfig is the error an analysis returns when Config.ClockPS
+// or a Config.WireLoads entry is NaN or ±Inf. A NaN required time or load
+// makes slacks NaN, and a NaN slack compares neither worse nor better than
+// any other, so WNS and the path ranking would silently skip it.
+var ErrNonFiniteConfig = errors.New("sta: non-finite boundary condition")
+
+// check rejects a Config whose ClockPS or any WireLoads entry is not
+// finite, naming the clock or the first such net in name order.
+func (cfg Config) check() error {
+	if math.IsNaN(cfg.ClockPS) || math.IsInf(cfg.ClockPS, 0) {
+		return fmt.Errorf("%w: ClockPS %g", ErrNonFiniteConfig, cfg.ClockPS)
+	}
+	bad, found := "", false
+	for net, w := range cfg.WireLoads {
+		if (math.IsNaN(w) || math.IsInf(w, 0)) && (!found || net < bad) {
+			bad, found = net, true
+		}
+	}
+	if found {
+		return fmt.Errorf("%w: WireLoads[%q] %g", ErrNonFiniteConfig, bad, cfg.WireLoads[bad])
+	}
+	return nil
 }
 
 // DefaultConfig returns sensible N90 boundary conditions (the clock must
@@ -392,8 +417,13 @@ func (p Path) Gates() []string {
 	return out
 }
 
-// Analyze runs STA under the given annotations.
+// Analyze runs STA under the given annotations. A non-finite boundary
+// condition fails with ErrNonFiniteConfig, and a non-finite annotated
+// length with timinglib.ErrNonFiniteLength.
 func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	tA := g.hAnalyze.StartTimer()
 	defer g.hAnalyze.ObserveSince(tA)
 	g.cAnalyses.Inc()

@@ -12,7 +12,9 @@
 package timinglib
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"postopc/internal/device"
@@ -29,6 +31,13 @@ type Lengths struct {
 	DelayL, LeakL float64
 	RContactOhm   float64
 }
+
+// ErrNonFiniteLength is the error Evaluate returns, wrapped with the gate
+// site's name, when an annotation's DelayL, LeakL or RContactOhm is NaN or
+// ±Inf. Such a length would make the cell's drive or leakage NaN, and a
+// NaN arrival loses every max comparison in STA, so the gate's arcs would
+// drop out of the timing without an error.
+var ErrNonFiniteLength = errors.New("timinglib: non-finite annotated length")
 
 // Annotator supplies effective lengths for a cell's gate sites. The site
 // names are cell-local ("MN0_0"); the flow wraps this with per-instance
@@ -98,7 +107,8 @@ func New(p *pdk.PDK) *Lib {
 // Evaluate computes the electrical view of a cell under an annotation. A
 // nil annotator is drawn timing: the cell's drawn Eval is computed once,
 // on the cell's first use, by the same code as Evaluate(cell, Drawn), and
-// returned from then on.
+// returned from then on. An annotation with a NaN or infinite length or
+// contact resistance fails with ErrNonFiniteLength.
 func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if cell.Kind == stdcell.Fill {
 		return Eval{}, fmt.Errorf("timinglib: fill cell %s has no timing", cell.Name)
@@ -106,19 +116,23 @@ func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if ann == nil {
 		return tl.view(cell).drawn, nil
 	}
-	return tl.evaluate(cell, ann), nil
+	return tl.evaluate(cell, ann)
 }
 
 // evaluate is Evaluate's model: drive and contact resistance per network
 // at the annotated delay lengths, leakage at the annotated leakage
 // lengths.
-func (tl *Lib) evaluate(cell *stdcell.Info, ann Annotator) Eval {
+func (tl *Lib) evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	var ev Eval
 	var inUA, ipUA float64 // summed drive per network
 	var rcN, rcP float64   // summed contact resistance per network
 	var nN, nP int
 	for _, g := range cell.Layout.Gates {
 		ln := ann(g)
+		if !finite(ln.DelayL) || !finite(ln.LeakL) || !finite(ln.RContactOhm) {
+			return Eval{}, fmt.Errorf("%w: site %s of %s: DelayL %g, LeakL %g, RContactOhm %g",
+				ErrNonFiniteLength, g.Name, cell.Name, ln.DelayL, ln.LeakL, ln.RContactOhm)
+		}
 		wUm := float64(g.W()) / 1000
 		// Drive at the annotated delay length.
 		if g.Kind == layout.NMOS {
@@ -143,8 +157,11 @@ func (tl *Lib) evaluate(cell *stdcell.Info, ann Annotator) Eval {
 	if nP > 0 {
 		ev.RcRiseOhm = rcP / float64(nP) * float64(maxI(cell.StackedP, 1))
 	}
-	return ev
+	return ev, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Cin returns the cell's input-pin capacitances (fF by pin name): the
 // gate-area term per µm of width, summed per pin in layout order. The
@@ -160,7 +177,9 @@ func (tl *Lib) view(cell *stdcell.Info) *cellView {
 	if v, ok := tl.cells.Load(cell); ok {
 		return v.(*cellView)
 	}
-	v := &cellView{cin: map[string]float64{}, drawn: tl.evaluate(cell, Drawn)}
+	// Drawn lengths are whole nanometres, so the drawn Eval cannot fail.
+	drawn, _ := tl.evaluate(cell, Drawn)
+	v := &cellView{cin: map[string]float64{}, drawn: drawn}
 	for _, g := range cell.Layout.Gates {
 		wUm := float64(g.W()) / 1000
 		v.cin[g.Pin] += tl.P.CGateFFUM * wUm
