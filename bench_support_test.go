@@ -121,6 +121,17 @@ func (f *fixtures) extractionsNoOPC(b *testing.B) map[string]*flow.GateExtractio
 	return f.extNone
 }
 
+// nominalAnnotations is flow.AnnotationsAt at the nominal corner (index 0),
+// failing the benchmark on an error.
+func nominalAnnotations(b *testing.B, exts map[string]*flow.GateExtraction) sta.Annotations {
+	b.Helper()
+	ann, err := flow.AnnotationsAt(exts, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ann
+}
+
 // printOnce emits a benchmark's table exactly once per process: the
 // harness may re-invoke fast benchmarks with growing b.N, and every
 // invocation restarts its loop at i == 0.

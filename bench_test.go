@@ -227,7 +227,7 @@ func BenchmarkE5_SlackShift(b *testing.B) {
 	f := getFixtures(b)
 	exts := f.extractions(b)
 	for i := 0; i < b.N; i++ {
-		annotated, err := f.graph.Analyze(f.cfg, flow.Annotations(exts, 0))
+		annotated, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, exts))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,11 +264,11 @@ func BenchmarkE6_PathReordering(b *testing.B) {
 	extsModel := f.extractions(b)
 	extsNone := f.extractionsNoOPC(b)
 	for i := 0; i < b.N; i++ {
-		annModel, err := f.graph.Analyze(f.cfg, flow.Annotations(extsModel, 0))
+		annModel, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, extsModel))
 		if err != nil {
 			b.Fatal(err)
 		}
-		annNone, err := f.graph.Analyze(f.cfg, flow.Annotations(extsNone, 0))
+		annNone, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, extsNone))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func BenchmarkE8_SelectiveOPC(b *testing.B) {
 	f := getFixtures(b)
 	extsModel := f.extractions(b)
 	extsNone := f.extractionsNoOPC(b)
-	fullAnn, err := f.graph.Analyze(f.cfg, flow.Annotations(extsModel, 0))
+	fullAnn, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, extsModel))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func BenchmarkE8_SelectiveOPC(b *testing.B) {
 					mixed[name] = extsModel[name]
 				}
 			}
-			res, err := f.graph.Analyze(f.cfg, flow.Annotations(mixed, 0))
+			res, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, mixed))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1179,7 +1179,7 @@ func BenchmarkExt_SampledMetrology(b *testing.B) {
 		}
 		rms := math.Sqrt(sum2 / float64(n))
 		// Timing with inferred annotations.
-		annFull, err := f.graph.Analyze(f.cfg, flow.Annotations(full, 0))
+		annFull, err := f.graph.Analyze(f.cfg, nominalAnnotations(b, full))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -125,7 +125,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res.Annotated, err = res.Graph.Analyze(cfg, flow.Annotations(res.Extractions, 0))
+		ann, err := flow.AnnotationsAt(res.Extractions, 0)
+		if err != nil {
+			fatal(err)
+		}
+		res.Annotated, err = res.Graph.Analyze(cfg, ann)
 		if err != nil {
 			fatal(err)
 		}
@@ -190,8 +194,11 @@ func main() {
 			cext[name] = ce
 			meanRatio += ce.MeanAreaRatio
 		}
-		ann := f.WithContacts(flow.Annotations(res.Extractions, 0), cext)
-		withRc, err := res.Graph.Analyze(cfg, ann)
+		ann, err := flow.AnnotationsAt(res.Extractions, 0)
+		if err != nil {
+			fatal(err)
+		}
+		withRc, err := res.Graph.Analyze(cfg, f.WithContacts(ann, cext))
 		if err != nil {
 			fatal(err)
 		}

@@ -91,7 +91,10 @@ func main() {
 		var meanEL float64
 		var slewRef float64
 		for _, g := range nl.Gates {
-			ann := flow.Annotations(map[string]*flow.GateExtraction{g.Name: exts[g.Name]}, ci)
+			ann, err := flow.AnnotationsAt(map[string]*flow.GateExtraction{g.Name: exts[g.Name]}, ci)
+			if err != nil {
+				log.Fatal(err)
+			}
 			ev, err := f.TL.Evaluate(inv, ann[g.Name])
 			if err != nil {
 				log.Fatal(err)

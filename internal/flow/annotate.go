@@ -12,17 +12,23 @@ import (
 	"postopc/internal/timinglib"
 )
 
-// Annotations builds the per-gate effective-length annotators from
-// extraction results, selecting corner index ci. Sites that failed to print
+// AnnotationsAt builds the per-gate effective-length annotators from
+// extraction results at extraction corner ci. Sites that failed to print
 // fall back to drawn (pinched gates are catastrophic yield events, not
-// timing annotations; they are visible via GateExtraction.Printed).
-func Annotations(extrs map[string]*GateExtraction, ci int) sta.Annotations {
+// timing annotations; they are visible via GateExtraction.Printed). A
+// corner index that some site was not extracted at is an error naming the
+// index, the first such gate by name and its number of extracted corners.
+func AnnotationsAt(extrs map[string]*GateExtraction, ci int) (sta.Annotations, error) {
 	ann := sta.Annotations{}
+	bad, corners := "", 0
 	for name, ext := range extrs {
 		byLocal := map[string]timinglib.Lengths{}
 		for _, s := range ext.Sites {
-			if ci >= len(s.PerCorner) {
-				continue
+			if ci < 0 || ci >= len(s.PerCorner) {
+				if bad == "" || name < bad {
+					bad, corners = name, len(s.PerCorner)
+				}
+				break
 			}
 			cc := s.PerCorner[ci]
 			if !cc.Printed || cc.DelayEL <= 0 {
@@ -36,6 +42,21 @@ func Annotations(extrs map[string]*GateExtraction, ci int) sta.Annotations {
 			}
 			return timinglib.Drawn(site)
 		}
+	}
+	if bad != "" {
+		return nil, fmt.Errorf("flow: corner index %d out of range: gate %s was extracted at %d corners", ci, bad, corners)
+	}
+	return ann, nil
+}
+
+// Annotations is AnnotationsAt for a corner index every site was extracted
+// at: where AnnotationsAt returns an error it panics, rather than timing
+// the sites at drawn length. The end-to-end benchmark (bench/) calls it at
+// corner 0.
+func Annotations(extrs map[string]*GateExtraction, ci int) sta.Annotations {
+	ann, err := AnnotationsAt(extrs, ci)
+	if err != nil {
+		panic(err)
 	}
 	return ann
 }
@@ -122,8 +143,12 @@ func (f *Flow) Run(n *netlist.Netlist, opt RunOptions) (*RunResult, error) {
 		// Map iteration order is random; keep reports reproducible.
 		sort.Strings(tagged)
 	}
+	ann, err := AnnotationsAt(extrs, 0)
+	if err != nil {
+		return nil, err
+	}
 	sp = f.Obs.StartChild("flow.sta.annotated", root.ID())
-	annotated, err := g.Analyze(opt.STA, Annotations(extrs, 0))
+	annotated, err := g.Analyze(opt.STA, ann)
 	sp.End()
 	if err != nil {
 		return nil, err

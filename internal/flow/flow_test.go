@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"postopc/internal/litho"
@@ -161,25 +163,33 @@ func TestRunPipeline(t *testing.T) {
 	}
 }
 
+// TestAnnotationsFallback checks that a corner index outside the extracted
+// corners is an error naming the index and the corner count, and a panic
+// through Annotations, where it used to time every site at drawn length.
 func TestAnnotationsFallback(t *testing.T) {
 	res := fullRun(t)
-	ann := Annotations(res.Extractions, 0)
+	ann, err := AnnotationsAt(res.Extractions, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ann) != len(res.Extractions) {
 		t.Fatalf("annotations = %d", len(ann))
 	}
-	// Out-of-range corner index falls back to drawn for every site.
-	annBad := Annotations(res.Extractions, 99)
-	g, err := res.Graph.Analyze(sta.DefaultConfig(1500), annBad)
-	if err != nil {
-		t.Fatal(err)
+	corners := len(VariationCorners(fastFlow(t).PDK.Window))
+	for _, ci := range []int{corners, 99, -1} {
+		ann, err := AnnotationsAt(res.Extractions, ci)
+		want := fmt.Sprintf("corner index %d out of range", ci)
+		if err == nil || ann != nil || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("extracted at %d corners", corners)) {
+			t.Fatalf("corner %d: got %d annotations and error %v, want %q naming %d extracted corners", ci, len(ann), err, want, corners)
+		}
 	}
-	drawn, err := res.Graph.Analyze(sta.DefaultConfig(1500), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.WNS != drawn.WNS {
-		t.Fatalf("fallback annotation changed timing: %.2f vs %.2f", g.WNS, drawn.WNS)
-	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Annotations at corner 99 returned instead of panicking")
+		}
+	}()
+	Annotations(res.Extractions, 99)
 }
 
 func TestTagTopK(t *testing.T) {

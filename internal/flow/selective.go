@@ -70,7 +70,11 @@ func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result
 	if err != nil {
 		return nil, err
 	}
-	fullRes, err := g.Analyze(cfg, Annotations(fullOPC, 0))
+	fullAnn, err := AnnotationsAt(fullOPC, 0)
+	if err != nil {
+		return nil, err
+	}
+	fullRes, err := g.Analyze(cfg, fullAnn)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +106,11 @@ func (f *Flow) SelectiveSweep(chip *layout.Chip, g *sta.Graph, drawn *sta.Result
 				extrs[name] = e
 			}
 		}
-		res, err := g.Analyze(cfg, Annotations(extrs, 0))
+		ann, err := AnnotationsAt(extrs, 0)
+		if err != nil {
+			return nil, err
+		}
+		res, err := g.Analyze(cfg, ann)
 		if err != nil {
 			return nil, err
 		}

@@ -54,10 +54,12 @@ type VariationModel struct {
 	gates []gateFit
 }
 
-// gateFit is one gate's fitted sites, sorted by local name.
+// gateFit is one gate's fitted sites, sorted by local name, and the
+// position of each site in that order, keyed by local name.
 type gateFit struct {
 	name  string
 	sites []siteFit
+	index map[string]int
 }
 
 // siteFit is one site's fitted response.
@@ -94,11 +96,14 @@ func BuildVariationModel(extrs map[string]*GateExtraction, pw litho.ProcessWindo
 			}
 			m[s.LocalName] = r
 		}
-		gf := gateFit{name: name, sites: make([]siteFit, 0, len(m))}
+		gf := gateFit{name: name, sites: make([]siteFit, 0, len(m)), index: make(map[string]int, len(m))}
 		for local, r := range m {
 			gf.sites = append(gf.sites, siteFit{local: local, r: r})
 		}
 		slices.SortFunc(gf.sites, func(a, b siteFit) int { return strings.Compare(a.local, b.local) })
+		for k, sf := range gf.sites {
+			gf.index[sf.local] = k
+		}
 		vm.gates = append(vm.gates, gf)
 	}
 	slices.SortFunc(vm.gates, func(a, b gateFit) int { return strings.Compare(a.name, b.name) })
@@ -121,24 +126,54 @@ func (r siteResponse) eval(fNorm, doseNorm, dRand float64) timinglib.Lengths {
 	return timinglib.Lengths{DelayL: d, LeakL: l}
 }
 
-// Annotations evaluates the model at a process point. Each site draws its
-// own random CD offset from rnd (pass nil for no random component).
-func (vm *VariationModel) Annotations(focusNM, dose float64, rnd *rand.Rand) sta.Annotations {
+// annotator is gf's annotator over ls, its sites' lengths in local-name
+// order: a fitted site reads its entry, any other site its drawn length.
+// Whoever owns ls may overwrite it between analyses.
+func (gf *gateFit) annotator(ls []timinglib.Lengths) timinglib.Annotator {
+	return func(site layout.GateSite) timinglib.Lengths {
+		if k, ok := gf.index[site.Name]; ok {
+			return ls[k]
+		}
+		return timinglib.Drawn(site)
+	}
+}
+
+// newAnnotations returns an annotation set of every fitted gate and the
+// per-gate site lengths its annotators read, parallel to vm.gates.
+func (vm *VariationModel) newAnnotations() (sta.Annotations, [][]timinglib.Lengths) {
+	ann := make(sta.Annotations, len(vm.gates))
+	lengths := make([][]timinglib.Lengths, len(vm.gates))
+	for gi := range vm.gates {
+		gf := &vm.gates[gi]
+		lengths[gi] = make([]timinglib.Lengths, len(gf.sites))
+		ann[gf.name] = gf.annotator(lengths[gi])
+	}
+	return ann, lengths
+}
+
+// fill writes the model's lengths at a process point into lengths (see
+// newAnnotations). Each site draws its own random CD offset from rnd (nil
+// for no random component), in the fixed gate and site order, so equal
+// seeds give identical samples.
+func (vm *VariationModel) fill(lengths [][]timinglib.Lengths, focusNM, dose float64, rnd *rand.Rand) {
 	fNorm := clampF(focusNM/nonzero(vm.PW.DefocusNM), 1.5)
 	doseNorm := clampF((dose-1)/nonzero(vm.PW.DoseFrac), 1.5)
-	ann := make(sta.Annotations, len(vm.gates))
-	// Fixed gate and site order so equal seeds give identical samples.
-	for _, gf := range vm.gates {
-		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
-		for _, sf := range gf.sites {
+	for gi, gf := range vm.gates {
+		for k, sf := range gf.sites {
 			var dr float64
 			if rnd != nil {
 				dr = rnd.NormFloat64() * vm.RandSigmaNM
 			}
-			lengths[sf.local] = sf.r.eval(fNorm, doseNorm, dr)
+			lengths[gi][k] = sf.r.eval(fNorm, doseNorm, dr)
 		}
-		ann[gf.name] = lookupOrDrawn(lengths)
 	}
+}
+
+// Annotations evaluates the model at a process point. Each site draws its
+// own random CD offset from rnd (pass nil for no random component).
+func (vm *VariationModel) Annotations(focusNM, dose float64, rnd *rand.Rand) sta.Annotations {
+	ann, lengths := vm.newAnnotations()
+	vm.fill(lengths, focusNM, dose, rnd)
 	return ann
 }
 
@@ -146,10 +181,9 @@ func (vm *VariationModel) Annotations(focusNM, dose float64, rnd *rand.Rand) sta
 // site at its maximum delay length across the window extremes plus kSigma
 // of random variation — simultaneously, everywhere.
 func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
-	ann := make(sta.Annotations, len(vm.gates))
-	for _, gf := range vm.gates {
-		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
-		for _, sf := range gf.sites {
+	ann, lengths := vm.newAnnotations()
+	for gi, gf := range vm.gates {
+		for k, sf := range gf.sites {
 			r := sf.r
 			worst := r.delay0
 			worstLeak := r.leak0
@@ -160,12 +194,11 @@ func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
 					worstLeak = math.Max(worstLeak, l.LeakL)
 				}
 			}
-			lengths[sf.local] = timinglib.Lengths{
+			lengths[gi][k] = timinglib.Lengths{
 				DelayL: worst + kSigma*vm.RandSigmaNM,
 				LeakL:  worstLeak + kSigma*vm.RandSigmaNM,
 			}
 		}
-		ann[gf.name] = lookupOrDrawn(lengths)
 	}
 	return ann
 }
@@ -173,10 +206,9 @@ func (vm *VariationModel) SlowCorner(kSigma float64) sta.Annotations {
 // FastCorner is the symmetric optimistic corner (minimum delay lengths −
 // kSigma random), used for leakage-dominated analyses.
 func (vm *VariationModel) FastCorner(kSigma float64) sta.Annotations {
-	ann := make(sta.Annotations, len(vm.gates))
-	for _, gf := range vm.gates {
-		lengths := make(map[string]timinglib.Lengths, len(gf.sites))
-		for _, sf := range gf.sites {
+	ann, lengths := vm.newAnnotations()
+	for gi, gf := range vm.gates {
+		for k, sf := range gf.sites {
 			r := sf.r
 			best := r.delay0
 			bestLeak := r.leak0
@@ -187,23 +219,13 @@ func (vm *VariationModel) FastCorner(kSigma float64) sta.Annotations {
 					bestLeak = math.Min(bestLeak, l.LeakL)
 				}
 			}
-			lengths[sf.local] = timinglib.Lengths{
+			lengths[gi][k] = timinglib.Lengths{
 				DelayL: math.Max(5, best-kSigma*vm.RandSigmaNM),
 				LeakL:  math.Max(5, bestLeak-kSigma*vm.RandSigmaNM),
 			}
 		}
-		ann[gf.name] = lookupOrDrawn(lengths)
 	}
 	return ann
-}
-
-func lookupOrDrawn(lengths map[string]timinglib.Lengths) timinglib.Annotator {
-	return func(site layout.GateSite) timinglib.Lengths {
-		if l, ok := lengths[site.Name]; ok {
-			return l
-		}
-		return timinglib.Drawn(site)
-	}
 }
 
 func clampF(v, lim float64) float64 {
@@ -275,12 +297,17 @@ func (vm *VariationModel) MonteCarlo(g *sta.Graph, cfg sta.Config, samples int, 
 // times every sample incrementally from it: each re-evaluates only the
 // model's gates and re-propagates only their fan-out cone, bit-identical
 // to a full Analyze, in analysis state its worker reuses. A sample reads
-// only WNS and LeakNW, so every analysis runs at KPaths 1.
+// only WNS and LeakNW, so the baseline runs at KPaths 1.
+//
+// Each worker slot owns one annotation set, built once, whose annotators
+// read site lengths that every sample the slot runs overwrites, and one
+// generator that each sample re-seeds. Once a slot has run a sample, the
+// next allocates nothing.
 //
 // The result depends only on the seed, never on the worker count: each
-// sample's RNG stream is seeded up front from a master stream over the
-// given seed, samples are merged in sample order, and only then are the
-// WNS/Leak distributions sorted.
+// sample's RNG stream is seeded from a master stream over the given seed,
+// samples are merged in sample order, and only then are the WNS/Leak
+// distributions sorted.
 func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, samples int, seed int64, workers int) (MCResult, error) {
 	var out MCResult
 	if samples <= 0 {
@@ -298,11 +325,17 @@ func (vm *VariationModel) MonteCarloWorkers(g *sta.Graph, cfg sta.Config, sample
 	if err != nil {
 		return out, err
 	}
-	wns, leak, err := g.MonteCarlo(cfg, base, samples, func(s int) sta.Annotations {
-		rnd := rand.New(rand.NewSource(seeds[s]))
-		f := rnd.NormFloat64() * vm.PW.DefocusNM / 3
-		d := 1 + rnd.NormFloat64()*vm.PW.DoseFrac/3
-		return vm.Annotations(f, d, rnd)
+	wns, leak, err := g.MonteCarlo(cfg, base, samples, func() func(int) sta.Annotations {
+		ann, lengths := vm.newAnnotations()
+		rnd := rand.New(rand.NewSource(0))
+		return func(s int) sta.Annotations {
+			// Re-seeding gives the stream rand.New(rand.NewSource(seeds[s])) would.
+			rnd.Seed(seeds[s])
+			f := rnd.NormFloat64() * vm.PW.DefocusNM / 3
+			d := 1 + rnd.NormFloat64()*vm.PW.DoseFrac/3
+			vm.fill(lengths, f, d, rnd)
+			return ann
+		}
 	}, sta.MonteCarloOptions{Workers: workers, Obs: vm.Obs})
 	if err != nil {
 		return out, err

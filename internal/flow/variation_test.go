@@ -157,3 +157,30 @@ func TestMonteCarloRunsIncrementally(t *testing.T) {
 		}
 	}
 }
+
+// TestMonteCarloAllocsFlatInSamples checks that a Monte Carlo sample
+// allocates nothing once its worker has run one: the worker's annotation
+// set, site lengths and generator are built once and overwritten per
+// sample, so on one worker 64 samples make as many allocations as 16.
+func TestMonteCarloAllocsFlatInSamples(t *testing.T) {
+	res := fullRun(t)
+	f := fastFlow(t)
+	vm, err := BuildVariationModel(res.Extractions, f.PDK.Window, f.PDK.Device.SigmaLRandomNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sta.DefaultConfig(1500)
+	run := func(samples int) func() {
+		return func() {
+			if _, err := vm.MonteCarloWorkers(res.Graph, cfg, samples, 7, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(1)() // warm-up: the cells' shared views
+	a16, a64 := testing.AllocsPerRun(5, run(16)), testing.AllocsPerRun(5, run(64))
+	t.Logf("allocations per MonteCarloWorkers call: %v (16 samples), %v (64 samples)", a16, a64)
+	if a64 != a16 {
+		t.Fatalf("48 more samples on one worker allocated: %v -> %v", a16, a64)
+	}
+}

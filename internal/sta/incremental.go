@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"postopc/internal/stdcell"
+	"postopc/internal/timinglib"
 )
 
 // AnalyzeIncremental re-runs STA under new annotations, recomputing only
@@ -48,20 +49,35 @@ func (g *Graph) AnalyzeIncremental(cfg Config, ann Annotations, base *Result) (*
 	if g.refuse(cfg, ann, base) {
 		return g.Analyze(cfg, ann)
 	}
-	res := &Result{}
-	if err := g.reanalyze(cfg, ann, base, res, &cone{}); err != nil {
+	tA := g.hAnalyze.StartTimer()
+	defer g.hAnalyze.ObserveSince(tA)
+	if cfg.KPaths <= 0 {
+		cfg.KPaths = 10
+	}
+	res := &Result{g: g, cfg: cfg, ann: ann, loads: base.loads,
+		evals: slices.Clone(base.evals), arr: slices.Clone(base.arr)}
+	var err error
+	if res.LeakNW, err = g.walk(ann, base, res.evals, res.arr, &cone{}); err != nil {
+		return nil, err
+	}
+	if err := g.finish(res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// cone is the cone walk's scratch: the candidate gates and one mark bit
-// per topological position. A walk leaves every mark clear, so one cone
-// serves any number of analyses in turn.
+// cone is the cone walk's scratch and its record: the candidate gates, one
+// mark bit per topological position, and the gate and net indices the walk
+// wrote. A walk leaves every mark clear, so one cone serves any number of
+// analyses in turn.
 type cone struct {
 	cands  []int
 	marks  []uint64
 	lo, hi int // range of words holding marks
+	// gates and nets are the evals and arrivals the walk overwrote: what
+	// a Monte Carlo worker restores from the baseline before its next
+	// sample (see mcWorker.restore).
+	gates, nets []int
 }
 
 // mark marks topological position p.
@@ -71,56 +87,33 @@ func (c *cone) mark(p int32) {
 	c.lo, c.hi = min(c.lo, w), max(c.hi, w)
 }
 
-// reanalyze is the cone engine behind AnalyzeIncremental and MonteCarlo:
-// it overwrites res with the analysis of ann seeded from base, which the
-// caller has checked with refuse. res's evals, arrivals, endpoints and
-// paths are reused when their capacity allows; c is the walk's scratch.
-func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *cone) error {
-	tA := g.hAnalyze.StartTimer()
-	defer g.hAnalyze.ObserveSince(tA)
+// walk is the cone engine behind AnalyzeIncremental and MonteCarlo. evals
+// and arr hold base's evals and arrivals, c's record is empty, and base
+// has passed refuse for ann. walk turns evals and arr into the analysis of
+// ann, appends each gate and net index it overwrites to c.gates and
+// c.nets, and returns the summed leakage. The endpoint view is the
+// caller's ending: finish for AnalyzeIncremental, worstSlack for a sample.
+func (g *Graph) walk(ann Annotations, base *Result, evals []timinglib.Eval, arr []arrival, c *cone) (leakNW float64, err error) {
 	g.cIncr.Inc()
-	if cfg.KPaths <= 0 {
-		cfg.KPaths = 10
-	}
-	res.g, res.cfg, res.ann, res.loads = g, cfg, ann, base.loads
-	res.evals = append(res.evals[:0], base.evals...)
-	res.arr = append(res.arr[:0], base.arr...)
-
-	// Candidate gates: everything named by either annotation set. Sorted
-	// so a failing evaluation surfaces the same error regardless of map
-	// iteration order.
-	cands := c.cands[:0]
-	for name := range base.ann {
-		if gi, ok := g.byName[name]; ok {
-			cands = append(cands, gi)
-		}
-	}
-	for name := range ann {
-		if _, dup := base.ann[name]; dup {
-			continue // already collected from the baseline set
-		}
-		if gi, ok := g.byName[name]; ok {
-			cands = append(cands, gi)
-		}
-	}
-	slices.Sort(cands)
-	c.cands = cands
-	g.hIncrEvals.Observe(float64(len(cands)))
+	// Candidate gates: everything named by either annotation set, in gate
+	// order, so a failing evaluation surfaces the same error regardless of
+	// map iteration order.
+	c.cands = g.appendAnnotated(g.appendAnnotated(c.cands[:0], base.ann), ann)
+	g.hIncrEvals.Observe(float64(len(c.cands)))
 
 	// Re-evaluate candidates, keeping only those whose electrical view
 	// changed.
-	dirty := cands[:0]
-	for _, gi := range cands {
+	for _, gi := range c.cands {
 		ev, err := g.evalGate(gi, ann)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if ev != base.evals[gi] {
-			res.evals[gi] = ev
-			dirty = append(dirty, gi)
+			evals[gi] = ev
+			c.gates = append(c.gates, gi)
 		}
 	}
-	res.LeakNW = sumLeak(res.evals)
+	leakNW = sumLeak(evals)
 
 	// Seeds: primary-input arrivals are the same in every analysis; a
 	// flop launch depends on the flop's evaluation and its Q-net load.
@@ -128,7 +121,7 @@ func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *con
 		c.marks = make([]uint64, (len(g.topo)+63)/64)
 	}
 	c.lo, c.hi = len(c.marks), -1
-	for _, gi := range dirty {
+	for _, gi := range c.gates {
 		if p := g.topoPos[gi]; p >= 0 {
 			c.mark(p)
 			continue
@@ -137,8 +130,9 @@ func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *con
 		if qi < 0 || g.cells[gi].Kind != stdcell.Seq {
 			continue
 		}
-		if a := g.launchArrival(res.evals[gi], res.loads[qi]); a != base.arr[qi] {
-			res.arr[qi] = a
+		if a := g.launchArrival(evals[gi], base.loads[qi]); a != base.arr[qi] {
+			arr[qi] = a
+			c.nets = append(c.nets, qi)
 			g.markFanout(c, qi)
 		}
 	}
@@ -155,15 +149,16 @@ func (g *Graph) reanalyze(cfg Config, ann Annotations, base, res *Result, c *con
 				continue
 			}
 			n++
-			if out := g.propagateGate(gi, res.evals[gi], res.loads[oi], res.arr); out != base.arr[oi] {
-				res.arr[oi] = out
+			if out := g.propagateGate(gi, evals[gi], base.loads[oi], arr); out != base.arr[oi] {
+				arr[oi] = out
+				c.nets = append(c.nets, oi)
 				g.markFanout(c, oi)
 			}
 		}
 	}
 	g.hArrival.ObserveSince(tP)
 	g.hConeGates.Observe(float64(n))
-	return g.finish(res)
+	return leakNW, nil
 }
 
 // markFanout marks the combinational gates net ni feeds.

@@ -8,6 +8,12 @@ import (
 	"postopc/internal/timinglib"
 )
 
+// shared is a MonteCarlo annotation factory that hands every worker slot
+// the same sample function.
+func shared(ann func(i int) Annotations) func() func(i int) Annotations {
+	return func() func(i int) Annotations { return ann }
+}
+
 // mcSampleAnn is sample i's annotation set for the Monte Carlo tests, over
 // the baseline gates names[0:2] and the extra gates names[2:]. Every
 // eighth sample equals the baseline, others add or drop a gate, one in
@@ -58,7 +64,7 @@ func TestMonteCarloMatchesIncremental(t *testing.T) {
 	const samples = 64
 	ann := func(i int) Annotations { return mcSampleAnn(i, samples, names) }
 	for _, workers := range []int{1, 4} {
-		wns, leak, err := g.MonteCarlo(cfg, base, samples, ann, MonteCarloOptions{Workers: workers})
+		wns, leak, err := g.MonteCarlo(cfg, base, samples, shared(ann), MonteCarloOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,16 +82,17 @@ func TestMonteCarloMatchesIncremental(t *testing.T) {
 			}
 		}
 	}
-	if wns, leak, err := g.MonteCarlo(cfg, base, 0, ann, MonteCarloOptions{}); wns != nil || leak != nil || err != nil {
+	if wns, leak, err := g.MonteCarlo(cfg, base, 0, shared(ann), MonteCarloOptions{}); wns != nil || leak != nil || err != nil {
 		t.Fatalf("zero samples: %v %v %v", wns, leak, err)
 	}
 }
 
 // TestMonteCarloAllocsFlatInDesignSize keeps per-analysis O(gates)
 // allocation from coming back: one sample through MonteCarlo allocates
-// no more on a four times larger design with the same annotated gates,
-// and every further sample a worker runs allocates nothing, since it
-// overwrites the worker's state.
+// no more on a four times larger design with the same annotated gates
+// (17 allocations per call, all of them the call's and the worker's
+// set-up), and every further sample a worker runs allocates nothing,
+// since it restores and overwrites the worker's state.
 func TestMonteCarloAllocsFlatInDesignSize(t *testing.T) {
 	small := netlist.Datapath(8, 6, 5)
 	names := []string{small.Gates[1].Name, small.Gates[2].Name, small.Gates[7].Name}
@@ -109,7 +116,7 @@ func TestMonteCarloAllocsFlatInDesignSize(t *testing.T) {
 		sample := func(int) Annotations { return ann }
 		run := func(samples int) func() {
 			return func() {
-				if _, _, err := g.MonteCarlo(cfg, base, samples, sample, MonteCarloOptions{Workers: 1}); err != nil {
+				if _, _, err := g.MonteCarlo(cfg, base, samples, shared(sample), MonteCarloOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -125,5 +132,55 @@ func TestMonteCarloAllocsFlatInDesignSize(t *testing.T) {
 	}
 	if a17 != a1 || b17 != b1 {
 		t.Fatalf("16 more samples on one worker allocated: %v -> %v (8 chains), %v -> %v (32 chains)", a1, a17, b1, b17)
+	}
+}
+
+// TestMonteCarloRestoresBetweenSamples runs one worker through samples
+// that alternate between two disjoint annotated gate sets, with samples
+// equal to the baseline in between. A sample starts from the state the
+// previous one left, restored only where that one wrote, so a missed
+// restore leaves the other set's evals or arrivals behind and the sample
+// stops matching AnalyzeIncremental.
+func TestMonteCarloRestoresBetweenSamples(t *testing.T) {
+	n := netlist.Datapath(8, 6, 5)
+	g := buildGraph(t, n)
+	cfg := DefaultConfig(1800)
+	cfg.KPaths = 1
+	drawn, err := g.Analyze(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Set a holds the worst path's gates, slowed so the worst slack moves;
+	// set b holds four gates off that path.
+	a := Annotations{}
+	for _, name := range drawn.CriticalGates(1) {
+		a[name] = timinglib.Uniform(130)
+	}
+	b := Annotations{}
+	for i := len(n.Gates) - 1; i >= 0 && len(b) < 4; i-- {
+		if name := n.Gates[i].Name; a[name] == nil {
+			b[name] = timinglib.Uniform(70)
+		}
+	}
+	if len(a) == 0 {
+		t.Fatal("no gate on the worst path")
+	}
+	order := []Annotations{a, b, a, nil, b, nil, a, a, b, b, nil}
+	wns, leak, err := g.MonteCarlo(cfg, drawn, len(order), shared(func(i int) Annotations { return order[i] }),
+		MonteCarloOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ann := range order {
+		want, err := g.AnalyzeIncremental(cfg, ann, drawn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEq(wns[i], want.WNS) || !bitsEq(leak[i], want.LeakNW) {
+			t.Fatalf("sample %d: (WNS %v, leak %v), AnalyzeIncremental (%v, %v)", i, wns[i], leak[i], want.WNS, want.LeakNW)
+		}
+	}
+	if bitsEq(wns[0], drawn.WNS) {
+		t.Fatalf("set a left WNS at the drawn %v: the test cannot see stale arrivals", drawn.WNS)
 	}
 }

@@ -3,10 +3,12 @@ package sta
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"postopc/internal/obs"
 	"postopc/internal/par"
+	"postopc/internal/timinglib"
 )
 
 // CornerSpec is one process corner of a multi-corner analysis: a
@@ -121,24 +123,53 @@ type MonteCarloOptions struct {
 	Obs *obs.Sink
 }
 
-// mcWorker is one pool slot's analysis state, overwritten by every sample
-// the slot runs.
+// mcWorker is one pool slot's Monte Carlo state: the slot's sample
+// annotations, and evals and arrivals that equal the baseline's except
+// where the cone record says the slot's last sample wrote.
 type mcWorker struct {
-	res  Result
-	cone cone
+	ann   func(i int) Annotations
+	evals []timinglib.Eval
+	arr   []arrival
+	cone  cone
+}
+
+// restore returns the worker's evals and arrivals to base's: a full copy
+// before the slot's first sample, after that only the indices the last
+// walk recorded. The record is sized for every gate and net up front, so
+// no later sample grows it.
+func (w *mcWorker) restore(base *Result) {
+	if w.evals == nil {
+		w.evals, w.arr = slices.Clone(base.evals), slices.Clone(base.arr)
+		w.cone.gates, w.cone.nets = make([]int, 0, len(w.evals)), make([]int, 0, len(w.arr))
+		return
+	}
+	for _, gi := range w.cone.gates {
+		w.evals[gi] = base.evals[gi]
+	}
+	for _, ni := range w.cone.nets {
+		w.arr[ni] = base.arr[ni]
+	}
+	w.cone.gates, w.cone.nets = w.cone.gates[:0], w.cone.nets[:0]
 }
 
 // MonteCarlo times n samples against one baseline and returns each
-// sample's WNS and LeakNW in sample order. Sample i is the analysis of
-// ann(i): its two numbers are bit-identical to those of
-// AnalyzeIncremental(cfg, ann(i), base), a refused baseline included
-// (counted, and answered by a full Analyze). Samples fan out over the
-// deterministic worker pool; each pool slot owns one analysis state —
-// evals, arrivals, endpoints and cone marks — that every sample it runs
-// overwrites, so a sample costs only its cone. ann is called once per
-// sample, from the worker that runs it. Non-finite boundary conditions and
-// annotated lengths fail as they do in Analyze.
-func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func(i int) Annotations, opt MonteCarloOptions) (wns, leak []float64, err error) {
+// sample's WNS and LeakNW in sample order. ann is called once per worker
+// slot, from that slot, and returns the slot's sample annotations: sample
+// i is the analysis of the slot's ann(i), which may reuse one annotation
+// set from sample to sample. Each sample's two numbers are bit-identical
+// to those of AnalyzeIncremental(cfg, ann(i), base), a refused baseline
+// included (counted, and answered by a full Analyze).
+//
+// Samples fan out over the deterministic worker pool. A sample costs only
+// its candidates' evaluations and its fan-out cone: the slot's state holds
+// the baseline's evals and arrivals, a sample first restores the indices
+// the slot's previous sample wrote (see mcWorker.restore), runs the cone
+// walk shared with AnalyzeIncremental, and ends with one scan for the
+// worst slack instead of finish's endpoint sort and path backtrace. Once
+// each slot has grown its state, a sample allocates nothing here.
+// Non-finite boundary conditions and annotated lengths fail as they do in
+// Analyze.
+func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func() func(i int) Annotations, opt MonteCarloOptions) (wns, leak []float64, err error) {
 	if n <= 0 {
 		return nil, nil, nil
 	}
@@ -153,7 +184,12 @@ func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func(i int) Anno
 	state := make([]*mcWorker, workers)
 	wns, leak = make([]float64, n), make([]float64, n)
 	err = par.ForEachWorker(n, func(w, i int) error {
-		a := ann(i)
+		st := state[w]
+		if st == nil {
+			st = &mcWorker{ann: ann()}
+			state[w] = st
+		}
+		a := st.ann(i)
 		if g.refuse(cfg, a, base) {
 			r, err := g.Analyze(cfg, a)
 			if err != nil {
@@ -162,20 +198,27 @@ func (g *Graph) MonteCarlo(cfg Config, base *Result, n int, ann func(i int) Anno
 			wns[i], leak[i] = r.WNS, r.LeakNW
 			return nil
 		}
-		if state[w] == nil {
-			state[w] = &mcWorker{}
-		}
-		st := state[w]
-		if err := g.reanalyze(cfg, a, base, &st.res, &st.cone); err != nil {
-			return err
-		}
-		wns[i], leak[i] = st.res.WNS, st.res.LeakNW
-		return nil
+		var err error
+		wns[i], leak[i], err = g.sample(cfg, a, base, st)
+		return err
 	}, par.Workers(workers), par.Obs(opt.Obs))
 	if err != nil {
 		return nil, nil, err
 	}
 	return wns, leak, nil
+}
+
+// sample analyzes one Monte Carlo sample in a worker's state: restore,
+// the cone walk, and worstSlack as the ending.
+func (g *Graph) sample(cfg Config, ann Annotations, base *Result, st *mcWorker) (wns, leak float64, err error) {
+	tA := g.hAnalyze.StartTimer()
+	defer g.hAnalyze.ObserveSince(tA)
+	st.restore(base)
+	if leak, err = g.walk(ann, base, st.evals, st.arr, &st.cone); err != nil {
+		return 0, 0, err
+	}
+	wns, err = g.worstSlack(st.arr, cfg.ClockPS)
+	return wns, leak, err
 }
 
 // mergeCorners folds per-corner analyses into the worst-case view. Every

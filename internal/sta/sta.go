@@ -10,6 +10,7 @@
 package sta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -116,10 +117,13 @@ type Graph struct {
 	//   - fanout: per net, the topological positions of the combinational
 	//     gates it feeds, which the cone walk marks when the net's arrival
 	//     changes.
+	//   - drawn: per gate, its drawn-length Eval (Evaluate(cell, nil)),
+	//     which every analysis starts from (see Analyze).
 	sinkCin   [][]float64
 	endpoints []endpointRef
 	topoPos   []int32
 	fanout    [][]int32
+	drawn     []timinglib.Eval
 
 	// Telemetry handles (see Instrument); nil on an uninstrumented graph.
 	// Write-only: telemetry never alters an analysis result.
@@ -228,9 +232,14 @@ type endpointRef struct {
 }
 
 // resolve fills the Build-time tables: sink capacitances, endpoints,
-// topological positions and fan-out (see Graph).
+// topological positions, fan-out and drawn evaluations (see Graph).
 func (g *Graph) resolve() {
 	n := g.Netlist
+	g.drawn = make([]timinglib.Eval, len(n.Gates))
+	for gi, cell := range g.cells {
+		// Only fill cells have no timing, and Connectivity rejects them.
+		g.drawn[gi], _ = g.TL.Evaluate(cell, nil)
+	}
 	g.sinkCin = make([][]float64, len(g.connOf))
 	for ni, c := range g.connOf {
 		caps := make([]float64, len(c.Sinks))
@@ -431,12 +440,23 @@ func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
 		cfg.KPaths = 10
 	}
 	n := g.Netlist
-	// Evaluate every gate's electrical view.
+	// Every gate's electrical view: the drawn table, overwritten at the
+	// annotated gates in gate order, so the first failing gate is the one
+	// a walk over every gate would meet. A "*" blanket annotates them all.
 	res := &Result{g: g, cfg: cfg, ann: ann,
-		evals: make([]timinglib.Eval, len(n.Gates)),
+		evals: slices.Clone(g.drawn),
 		arr:   make([]arrival, len(g.netNames)),
 		loads: g.netLoads(cfg)}
-	for gi := range n.Gates {
+	var gates []int
+	if ann["*"] == nil {
+		gates = g.appendAnnotated(make([]int, 0, len(ann)), ann)
+	} else {
+		gates = make([]int, len(n.Gates))
+		for gi := range gates {
+			gates[gi] = gi
+		}
+	}
+	for _, gi := range gates {
 		ev, err := g.evalGate(gi, ann)
 		if err != nil {
 			return nil, err
@@ -488,6 +508,19 @@ func (g *Graph) evalGate(gi int, ann Annotations) (timinglib.Eval, error) {
 		return ev, fmt.Errorf("sta: gate %s: %w", g.Netlist.Gates[gi].Name, err)
 	}
 	return ev, nil
+}
+
+// appendAnnotated appends the indices of the gates ann names to dst and
+// returns dst sorted, without duplicates. Names that are no gate's ("*"
+// included) add nothing.
+func (g *Graph) appendAnnotated(dst []int, ann Annotations) []int {
+	for name := range ann {
+		if gi, ok := g.byName[name]; ok {
+			dst = append(dst, gi)
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // sumLeak totals cell leakage in gate-index order (the fixed summation
@@ -579,64 +612,95 @@ func (g *Graph) propagateGate(gi int, ev timinglib.Eval, load float64, arr []arr
 
 // finish derives the endpoint view of a result whose arrivals are
 // complete: endpoint collection, the slack sort, WNS/TNS and the K worst
-// path backtraces. Shared by Analyze and the incremental engine so the
-// merged outputs are computed identically. It reuses the storage of
-// res.Endpoints and res.Paths.
+// path backtraces. Shared by Analyze and AnalyzeIncremental so the
+// merged outputs are computed identically.
 func (g *Graph) finish(res *Result) error {
 	cfg := res.cfg
-	eps := res.Endpoints[:0]
-	if eps == nil {
-		eps = make([]Endpoint, 0, len(g.endpoints))
-	}
+	eps := make([]Endpoint, 0, len(g.endpoints))
 	for _, ref := range g.endpoints {
-		a := &res.arr[ref.net]
-		if !a.valid {
-			continue // unconstrained
+		if ep, ok := g.endpoint(ref, res.arr, cfg.ClockPS); ok {
+			eps = append(eps, ep)
 		}
-		ep := Endpoint{Name: ref.name, Net: g.netNames[ref.net], RequiredPS: cfg.ClockPS}
-		if ref.flop {
-			ep.RequiredPS = cfg.ClockPS - setupPS
-		}
-		if a.atR >= a.atF {
-			ep.ArrivalPS, ep.Rise = a.atR, true
-		} else {
-			ep.ArrivalPS, ep.Rise = a.atF, false
-		}
-		ep.SlackPS = ep.RequiredPS - ep.ArrivalPS
-		eps = append(eps, ep)
 	}
 	res.Endpoints = eps
-	// Ascending slack, then name (names are unique). Unequal slacks, NaN
-	// included, compare by < alone.
+	// Ascending slack, then name (names are unique), in cmp.Compare's
+	// order, which puts a NaN slack first. Finite lengths with
+	// non-negative loads and contact resistances give none: analyses
+	// reject non-finite inputs, ArcDelay times a cell without drive at
+	// 1e9 ps instead of dividing by zero, so every delay lies in
+	// [0, +Inf], and propagateGate's > never takes a NaN candidate
+	// (TestExtremeLengthsNoNaNSlack). A negative load and contact
+	// resistance can overflow into a NaN flop launch
+	// (TestNaNSlackSortsFirst); worstSlack scans in the same order.
 	slices.SortFunc(eps, func(a, b Endpoint) int {
-		if a.SlackPS != b.SlackPS {
-			if a.SlackPS < b.SlackPS {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(a.SlackPS, b.SlackPS); c != 0 {
+			return c
 		}
 		return strings.Compare(a.Name, b.Name)
 	})
 	if len(eps) == 0 {
-		return fmt.Errorf("sta: design %s has no constrained endpoints", g.Netlist.Name)
+		return g.errNoEndpoints()
 	}
 	res.WNS = eps[0].SlackPS
-	res.TNS = 0
 	for _, ep := range eps {
 		if ep.SlackPS < 0 {
 			res.TNS += ep.SlackPS
 		}
 	}
 	// K worst paths (one per endpoint).
-	k := min(cfg.KPaths, len(eps))
-	if cap(res.Paths) < k {
-		res.Paths = make([]Path, k)
-	}
-	res.Paths = res.Paths[:k]
+	res.Paths = make([]Path, min(cfg.KPaths, len(eps)))
 	for i := range res.Paths {
-		g.backtrace(res, eps[i], &res.Paths[i])
+		res.Paths[i] = g.backtrace(res, eps[i])
 	}
 	return nil
+}
+
+// endpoint times ref against the arrivals under a clockPS cycle: its
+// required time, worst-arrival sense and slack. ok is false when no
+// arrival reaches it (an unconstrained endpoint).
+func (g *Graph) endpoint(ref endpointRef, arr []arrival, clockPS float64) (ep Endpoint, ok bool) {
+	a := &arr[ref.net]
+	if !a.valid {
+		return ep, false
+	}
+	ep = Endpoint{Name: ref.name, Net: g.netNames[ref.net], RequiredPS: clockPS}
+	if ref.flop {
+		ep.RequiredPS = clockPS - setupPS
+	}
+	if a.atR >= a.atF {
+		ep.ArrivalPS, ep.Rise = a.atR, true
+	} else {
+		ep.ArrivalPS, ep.Rise = a.atF, false
+	}
+	ep.SlackPS = ep.RequiredPS - ep.ArrivalPS
+	return ep, true
+}
+
+// worstSlack is a Monte Carlo sample's ending: the first endpoint slack in
+// finish's order, found in one scan without finish's endpoint list, sort
+// or backtrace. A tie goes to the smaller name, as in that order, so the
+// result carries the bits of finish's WNS, the sign of a zero included.
+func (g *Graph) worstSlack(arr []arrival, clockPS float64) (float64, error) {
+	var wns float64
+	worst := -1
+	for k, ref := range g.endpoints {
+		ep, ok := g.endpoint(ref, arr, clockPS)
+		if !ok {
+			continue
+		}
+		if c := cmp.Compare(ep.SlackPS, wns); worst < 0 || c < 0 || c == 0 && ref.name < g.endpoints[worst].name {
+			worst, wns = k, ep.SlackPS
+		}
+	}
+	if worst < 0 {
+		return 0, g.errNoEndpoints()
+	}
+	return wns, nil
+}
+
+// errNoEndpoints is the error of an analysis no endpoint constrains.
+func (g *Graph) errNoEndpoints() error {
+	return fmt.Errorf("sta: design %s has no constrained endpoints", g.Netlist.Name)
 }
 
 // outSenses lists the output transitions an input transition can launch.
@@ -651,13 +715,12 @@ func outSenses(u stdcell.Unate, inRise bool) []bool {
 	}
 }
 
-// backtrace reconstructs the critical path into an endpoint, reusing the
-// storage of p.Points.
-func (g *Graph) backtrace(res *Result, ep Endpoint, p *Path) {
-	*p = Path{Endpoint: ep.Name, SlackPS: ep.SlackPS, ArrivalPS: ep.ArrivalPS, Points: p.Points[:0]}
+// backtrace reconstructs the critical path into an endpoint.
+func (g *Graph) backtrace(res *Result, ep Endpoint) Path {
+	p := Path{Endpoint: ep.Name, SlackPS: ep.SlackPS, ArrivalPS: ep.ArrivalPS}
 	ni, ok := g.netIdx[ep.Net]
 	if !ok {
-		return
+		return p
 	}
 	rise := ep.Rise
 	for i := 0; i < len(g.Netlist.Gates)+2; i++ {
@@ -690,6 +753,7 @@ func (g *Graph) backtrace(res *Result, ep Endpoint, p *Path) {
 		ni, rise = int(fromNet), fromRise
 	}
 	slices.Reverse(p.Points) // startpoint first
+	return p
 }
 
 // ArrivalOf exposes a net's worst arrival (for tests and reports).
