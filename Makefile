@@ -59,8 +59,9 @@ bench-smoke:
 
 # Kernel-engine smoke: asserts the steady-state allocation budget of the
 # imaging hot path (TestKernelAllocBudget), runs the kernel report bench
-# (-short trims its sample count) and the fast model's strip-window bench
-# once, then the vek inner-loop micro
+# (-short trims its sample count), the fast model's strip-window bench and
+# one model-based OPC call on a strip of poly (with -benchmem) once, then
+# the vek inner-loop micro
 # series (complex128 reference vs SoA kernels — butterfly, filter apply,
 # intensity accumulate, inverse scale — and the blur's row and column tap
 # sums against their Go loops). On an AVX2 host the kernels run the AVX2
@@ -68,6 +69,7 @@ bench-smoke:
 # numbers: BENCH_kernel.json.
 bench-kernel:
 	$(GO) test -short -run=TestKernelAllocBudget -bench='KernelReport|GaussianAerialStrip' -benchtime=1x ./internal/litho/
+	$(GO) test -run=NONE -bench=ModelBasedOPC -benchtime=1x -benchmem ./internal/opc/
 	$(GO) test -run=NONE -bench=KernelInnerLoops -benchtime=100ms ./internal/dsp/vek/
 
 # Telemetry-overhead smoke: asserts that a disabled sink adds zero

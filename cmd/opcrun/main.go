@@ -103,7 +103,8 @@ func main() {
 		corrected = res.Polygons
 		epes1 = res.FinalEPE
 		st1 = opc.SummarizeEPE(epes1, 8)
-		fmt.Printf("model OPC: %d iterations, %d simulations\n", res.Iterations, res.Sims)
+		fmt.Printf("model OPC: %d iterations, %d simulations, converged %v, %d of %d fragments found no printed edge\n",
+			res.Iterations, res.Sims, res.Converged, res.NoEdge, len(res.FinalEPE))
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}

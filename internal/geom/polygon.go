@@ -219,7 +219,7 @@ func dedupVertices(pg Polygon) Polygon {
 	if len(pg) < 3 {
 		return nil
 	}
-	var out Polygon
+	out := make(Polygon, 0, len(pg))
 	for _, p := range pg {
 		if len(out) > 0 && out[len(out)-1] == p {
 			continue
@@ -233,8 +233,8 @@ func dedupVertices(pg Polygon) Polygon {
 		return nil
 	}
 	// Remove collinear points on axis-parallel runs.
-	var res Polygon
 	n := len(out)
+	res := make(Polygon, 0, n)
 	for i := 0; i < n; i++ {
 		prev := out[(i-1+n)%n]
 		cur := out[i]

@@ -136,7 +136,11 @@ func (ra *Raster) AddRegion(rg Region) {
 // Region decomposition.
 func (ra *Raster) AddPolygon(pg Polygon) {
 	if rg := RegionFromPolygon(pg); rg != nil {
-		ra.AddRegion(rg)
+		// Already normalized: AddRegion would normalize it again into the
+		// same rectangles.
+		for _, r := range rg {
+			ra.AddRect(r)
+		}
 		return
 	}
 	bb := pg.BBox().Intersect(ra.Bounds())

@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Region is a rectilinear area represented as a set of rectangles. The
 // rectangles of a normalized Region are pairwise disjoint and organized as
@@ -36,7 +39,7 @@ func RegionFromPolygon(pg Polygon) Region {
 	type vedge struct {
 		x, y0, y1 Coord
 	}
-	var edges []vedge
+	edges := make([]vedge, 0, len(pg)/2+1)
 	ys := make([]Coord, 0, len(pg))
 	n := len(pg)
 	for i := 0; i < n; i++ {
@@ -52,19 +55,20 @@ func RegionFromPolygon(pg Polygon) Region {
 	}
 	ys = dedupSortedCoords(ys)
 	var out Region
+	xs := make([]Coord, 0, len(edges))
 	for bi := 0; bi+1 < len(ys); bi++ {
 		y0, y1 := ys[bi], ys[bi+1]
 		if y0 >= y1 {
 			continue
 		}
 		mid := y0 + (y1-y0)/2
-		var xs []Coord
+		xs = xs[:0]
 		for _, e := range edges {
 			if e.y0 <= mid && mid < e.y1 {
 				xs = append(xs, e.x)
 			}
 		}
-		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		slices.Sort(xs)
 		for i := 0; i+1 < len(xs); i += 2 {
 			if xs[i] < xs[i+1] {
 				out = append(out, Rect{xs[i], y0, xs[i+1], y1})
@@ -75,7 +79,7 @@ func RegionFromPolygon(pg Polygon) Region {
 }
 
 func dedupSortedCoords(cs []Coord) []Coord {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+	slices.Sort(cs)
 	out := cs[:0]
 	for i, c := range cs {
 		if i == 0 || c != out[len(out)-1] {
@@ -115,21 +119,27 @@ func (rg Region) Normalize() Region {
 		}
 		prev = nil
 	}
+	// Each band gathers and merges its intervals in place in one of two
+	// buffers; the other holds prev while prev is still open.
+	var bufs [2][]interval
+	cur := 0
 	for bi := 0; bi+1 < len(ys); bi++ {
 		y0, y1 := ys[bi], ys[bi+1]
-		var ivs []interval
+		ivs := bufs[cur][:0]
 		for _, r := range rg {
 			if r.Empty() || r.Y0 > y0 || r.Y1 < y1 {
 				continue
 			}
 			ivs = append(ivs, interval{r.X0, r.X1})
 		}
+		bufs[cur] = ivs
 		if len(ivs) == 0 {
 			flushPrev()
 			continue
 		}
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].x0 < ivs[j].x0 })
-		merged := ivs[:1:1]
+		// Intervals with equal x0 merge whatever their order.
+		slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.x0, b.x0) })
+		merged := ivs[:1]
 		for _, iv := range ivs[1:] {
 			last := &merged[len(merged)-1]
 			if iv.x0 <= last.x1 {
@@ -147,6 +157,7 @@ func (rg Region) Normalize() Region {
 		}
 		flushPrev()
 		prev, prevY0, prevY1 = merged, y0, y1
+		cur ^= 1
 	}
 	flushPrev()
 	return out

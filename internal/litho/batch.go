@@ -118,11 +118,7 @@ func (g *Gaussian) AerialBatch(masks []*geom.Raster, corners []Corner) ([][]*Ima
 	defer ks.release()
 	out := make([][]*Image, len(masks))
 	for mi, mask := range masks {
-		imgs, err := g.series(mask, corners, ks)
-		if err != nil {
-			return nil, err
-		}
-		out[mi] = imgs
+		out[mi] = g.series(mask, corners, ks)
 	}
 	return out, nil
 }

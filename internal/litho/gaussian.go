@@ -83,23 +83,28 @@ func (g *Gaussian) SigmaAt(defocusNM float64) float64 {
 	return math.Sqrt(sigma0*sigma0 + blur*blur)
 }
 
-// Aerial implements Model.
+// Aerial implements Model. The image comes from the free list that
+// RecycleImage fills, so a caller that hands each image back images
+// without allocating.
 func (g *Gaussian) Aerial(mask *geom.Raster, c Corner) (*Image, error) {
-	t0 := g.hAerial.StartTimer()
-	ks := borrowKernelScratch()
-	ks.markRepeats(mask)
-	im, err := g.aerial(mask, c, ks)
-	ks.release()
-	g.hAerial.ObserveSince(t0)
-	return im, err
-}
-
-// aerial images mask at corner c on the kernel scratch ks, whose repeat
-// runs must already describe mask (see markRepeats).
-func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Image, error) {
 	if mask.Nx == 0 || mask.Ny == 0 {
 		return nil, ErrEmptyMask
 	}
+	t0 := g.hAerial.StartTimer()
+	ks := borrowKernelScratch()
+	ks.markRepeats(mask)
+	out := borrowImage(mask)
+	g.aerial(out, mask, c, ks)
+	ks.release()
+	g.hAerial.ObserveSince(t0)
+	return out, nil
+}
+
+// aerial images the non-empty mask at corner c into out, an image aligned
+// with mask whose Data it overwrites in full, so out's prior contents do
+// not matter. It works on the kernel scratch ks, whose repeat runs must
+// already describe mask (see markRepeats).
+func (g *Gaussian) aerial(out *Image, mask *geom.Raster, c Corner, ks *kernelScratch) {
 	r := g.recipe
 	px := float64(mask.Pixel)
 	// Defocus broadens both kernel components in quadrature.
@@ -107,14 +112,12 @@ func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Imag
 	s1 := math.Sqrt(sq(g.SigmaAt(0)) + blur*blur)
 	ks.field = growFloats(ks.field, mask.Nx*mask.Ny)
 	field := ks.field
-	bg := blurAmplitude(field, mask, r.Polarity, s1, px, ks)
-	out := NewImage(mask)
-	out.Background = bg
+	out.Background = blurAmplitude(field, mask, r.Polarity, s1, px, ks)
 	if g.weight2 == 0 {
 		for i, v := range field {
 			out.Data[i] = v * v // intensity = amplitude²
 		}
-		return out, nil
+		return
 	}
 	// The broad component is blurred straight into the returned image's
 	// buffer and combined with the narrow one in place.
@@ -126,7 +129,6 @@ func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Imag
 		a := (1-w)*v + w*wide[i]
 		wide[i] = a * a // intensity = amplitude²
 	}
-	return out, nil
 }
 
 // markRepeats sets ks.rep[iy], for every row iy of mask, to the number of
@@ -269,13 +271,15 @@ func (g *Gaussian) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, 
 	defer g.hAerial.ObserveSince(t0)
 	ks := borrowKernelScratch()
 	defer ks.release()
-	return g.series(mask, corners, ks)
+	return g.series(mask, corners, ks), nil
 }
 
-// series images mask at every corner on the kernel scratch ks, aliasing
-// corners that share a defocus (see doseAlias). The mask's repeat runs are
-// marked once and shared by every corner.
-func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch) ([]*Image, error) {
+// series images the non-empty mask at every corner on the kernel scratch
+// ks, aliasing corners that share a defocus (see doseAlias). The mask's
+// repeat runs are marked once and shared by every corner. Each image is
+// newly allocated, never taken from the free list: an aliased image must
+// never be recycled.
+func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch) []*Image {
 	ks.markRepeats(mask)
 	out := make([]*Image, len(corners))
 	for ci, c := range corners {
@@ -283,13 +287,10 @@ func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch
 			out[ci] = out[cj]
 			continue
 		}
-		im, err := g.aerial(mask, c, ks)
-		if err != nil {
-			return nil, err
-		}
-		out[ci] = im
+		out[ci] = NewImage(mask)
+		g.aerial(out[ci], mask, c, ks)
 	}
-	return out, nil
+	return out
 }
 
 var (

@@ -124,6 +124,10 @@ func tallMask251() *geom.Raster {
 // PDK calibration (σ2 = 200 nm, w = −0.10) and at w = +0.15, clear and
 // dark field (the dark field pads with 0), nominal focus and 120 nm
 // defocus, on the 256×256 grating and on the 251×753 strip-shaped mask.
+// Aerial takes its image from the free list RecycleImage fills, so each
+// hash must also hold when the image it gets was recycled full of NaN
+// (background and origin included) with half, exactly or twice the
+// mask's pixel count.
 func TestGaussianAerialGoldenSHA(t *testing.T) {
 	golden := map[string]string{
 		"w+0.15/clear/grating256/defocus120": "2c7a4a4c46c4961c456d7e54e0c8bdf8ab0428de15b3e24e85291e1eff8346d2",
@@ -158,15 +162,51 @@ func TestGaussianAerialGoldenSHA(t *testing.T) {
 					"defocus120": {DefocusNM: 120, Dose: 1},
 				} {
 					name := fmt.Sprintf("w%+.2f/%s/%s/%s", w, polName, maskName, cName)
-					im, err := m.Aerial(mask, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := goldenAerialSHA256(im), golden[name]; got != want {
-						t.Errorf("%s aerial SHA-256 = %s, want %s", name, got, want)
+					for _, recycled := range []struct {
+						name string
+						px   int // pixel count of the recycled image; 0 recycles none
+					}{
+						{"fresh", 0},
+						{"recycled smaller", len(mask.Data) / 2},
+						{"recycled equal", len(mask.Data)},
+						{"recycled larger", 2 * len(mask.Data)},
+					} {
+						if recycled.px > 0 {
+							RecycleImage(nanImage(recycled.px))
+						}
+						im, err := m.Aerial(mask, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := goldenAerialSHA256(im), golden[name]; got != want {
+							t.Errorf("%s (%s image) aerial SHA-256 = %s, want %s", name, recycled.name, got, want)
+						}
+						if im.Origin != mask.Origin || im.Pixel != mask.Pixel {
+							t.Errorf("%s (%s image): origin %v pitch %d, want the mask's %v and %d",
+								name, recycled.name, im.Origin, im.Pixel, mask.Origin, mask.Pixel)
+						}
+						RecycleImage(im)
 					}
 				}
 			}
 		}
 	}
+}
+
+// nanImage is an image of px pixels, one row, whose every field a model
+// must overwrite holds garbage: NaN intensities and background, and an
+// origin and pitch no mask has.
+func nanImage(px int) *Image {
+	im := &Image{
+		Origin:     geom.Pt(-7, 13),
+		Pixel:      3,
+		Nx:         px,
+		Ny:         1,
+		Data:       make([]float64, px),
+		Background: math.NaN(),
+	}
+	for i := range im.Data {
+		im.Data[i] = math.NaN()
+	}
+	return im
 }

@@ -320,3 +320,57 @@ func TestGaussianConcurrentImaging(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Goroutines that recycle every image they read share the image free list:
+// 4 of them loop Aerial → compare with the serial image → RecycleImage over
+// masks of three sizes, so each image handed out was last another
+// goroutine's, of another size, and each must still be bit-identical to
+// the serial one. Run with -race this also checks the list's locking.
+func TestGaussianRecycledImagesConcurrent(t *testing.T) {
+	g, err := NewGaussianDual(testRecipe(), 200, -0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := []*geom.Raster{smallMask(), windowMask(211), benchMask256()}
+	want := make([]*Image, len(masks))
+	for i, m := range masks {
+		if want[i], err = g.Aerial(m, Nominal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers, rounds = 4, 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(masks); k++ {
+				i := (w + k) % len(masks)
+				im, err := g.Aerial(masks[i], Nominal)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if p := sameImage(im, want[i]); p >= 0 {
+					t.Errorf("worker %d, round %d, mask %d: pixel %d differs from the serial image", w, k, i, p)
+				}
+				RecycleImage(im)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// RecycleImage(nil) leaves the free list as it was.
+func TestRecycleImageNil(t *testing.T) {
+	imageFree.mu.Lock()
+	before := len(imageFree.list)
+	imageFree.mu.Unlock()
+	RecycleImage(nil)
+	imageFree.mu.Lock()
+	after := len(imageFree.list)
+	imageFree.mu.Unlock()
+	if after != before {
+		t.Fatalf("RecycleImage(nil) changed the free list from %d to %d images", before, after)
+	}
+}

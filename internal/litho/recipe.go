@@ -140,14 +140,15 @@ type Model interface {
 	// Aerial returns the aerial-image intensity over the mask raster's
 	// window, normalized so the clear-field intensity is 1.0. The mask
 	// raster holds feature coverage in [0,1] (1 = fully covered by the
-	// drawn/chrome feature).
+	// drawn/chrome feature). The caller owns the returned image: it may
+	// keep it, or hand it to RecycleImage once it has read it.
 	Aerial(mask *geom.Raster, c Corner) (*Image, error)
 	// AerialSeries computes images for several corners, sharing work where
 	// the model permits: dose never changes the image, so corners that
 	// share a defocus alias ONE *Image in the returned slice (the same
 	// pointer appears at every such index). Callers must treat the
 	// returned images as immutable — mutating one mutates it for every
-	// corner that shares it.
+	// corner that shares it — and must not recycle them.
 	AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, error)
 	// Recipe returns the optical settings of the model.
 	Recipe() Recipe

@@ -12,16 +12,20 @@ import (
 // needs several full-size float work buffers (the fast model's convolution
 // planes and pad rows; the Abbe model borrows its plane grids from dsp);
 // full-chip runs simulate thousands of equally-sized windows from
-// concurrent workers, so the buffers are recycled (kernel scratch through
-// a free list, mask rasters through a sync.Pool) and steady-state
-// simulation allocates only the returned *Image.
+// concurrent workers, so the buffers are recycled (kernel scratch and
+// single-corner fast-model images through free lists, mask rasters through
+// a sync.Pool), and an OPC loop that hands back its rasters and images
+// simulates without allocating them.
 //
 // Lifetime rules: a kernelScratch (and every slice grown from it) is owned
 // by exactly one Aerial/AerialSeries call between borrow and release, and
-// nothing borrowed may escape into a returned value — returned Images
-// always own freshly allocated Data. Borrowed buffers come back with
-// unspecified contents; every consumer fully overwrites or zeroes before
-// reading, which also keeps results independent of pool history.
+// nothing of it escapes into a returned value. The caller of Aerial owns
+// the returned Image: it may keep it, or hand it to RecycleImage once it
+// has read it, after which the fast model may hand it out again. Images
+// returned by AerialSeries and AerialBatch alias across dose corners and
+// are never recycled. Borrowed buffers come back with unspecified
+// contents; every consumer fully overwrites or zeroes before reading,
+// which also keeps results independent of pool history.
 
 // poolCounters are the telemetry handles of the package-level scratch
 // pools: borrow/return counters whose difference is the number of buffers
@@ -121,9 +125,67 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// imageFree is the free list of the images the fast model's Aerial
+// returns (see RecycleImage). Like kernelScratchFree it keeps what it holds
+// across garbage collections and allocates only when it is empty; an OPC
+// loop hands each image back before it images the next mask, so the list
+// holds about one image per goroutine running OPC. The pool counters do
+// not count it: an image belongs to Aerial's caller, which may keep it, so
+// an image not handed back is not a leak.
+var imageFree struct {
+	mu   sync.Mutex
+	list []*Image
+}
+
+// borrowImage returns an image aligned with mask, from the free list when
+// it has one. Its Data has Nx*Ny elements of unspecified contents and its
+// Background is the clear-field level 1.0, as NewImage's.
+//
+//postopc:allocfree
+func borrowImage(mask *geom.Raster) *Image {
+	var im *Image
+	imageFree.mu.Lock()
+	if n := len(imageFree.list); n > 0 {
+		im = imageFree.list[n-1]
+		imageFree.list[n-1] = nil
+		imageFree.list = imageFree.list[:n-1]
+	}
+	imageFree.mu.Unlock()
+	if im == nil {
+		im = new(Image) //postopc:nolint:allocbudget free-list miss before warm-up is the cold path
+	}
+	*im = Image{
+		Origin:     mask.Origin,
+		Pixel:      mask.Pixel,
+		Nx:         mask.Nx,
+		Ny:         mask.Ny,
+		Data:       growFloats(im.Data, mask.Nx*mask.Ny),
+		Background: 1,
+	}
+	return im
+}
+
+// RecycleImage hands an image returned by a Model's Aerial back to the
+// fast model's free list: the image counterpart of RecycleRaster. The
+// caller must not use im (or aliases of its Data) afterwards. Never pass
+// an image from AerialSeries or AerialBatch, which may alias it at other
+// corners. Safe to call with nil.
+//
+//postopc:allocfree
+func RecycleImage(im *Image) {
+	if im == nil {
+		return
+	}
+	imageFree.mu.Lock()
+	imageFree.list = append(imageFree.list, im) //postopc:nolint:allocbudget the list grows only while the peak number of images handed back at once rises
+	imageFree.mu.Unlock()
+}
+
 // rasterPool recycles mask rasters for the window path: the raster is
-// scratch — models read it during Aerial and never retain it — so staged
-// callers hand it back with RecycleRaster once imaging is done.
+// scratch — models read it during Aerial and never retain it — so callers
+// hand it back with RecycleRaster once imaging is done. It stays a
+// sync.Pool: a batch of 16 keeps 16 rasters per worker out at once, and a
+// free list would keep that peak live.
 var rasterPool sync.Pool
 
 //postopc:allocfree
@@ -137,8 +199,8 @@ func borrowRaster(window geom.Rect, pixel geom.Coord) *geom.Raster {
 	return ra
 }
 
-// RecycleRaster returns a raster obtained from RasterizeInWindow to the
-// internal pool. The caller must not use ra (or aliases of its Data)
+// RecycleRaster returns a raster obtained from RasterizeInWindow or
+// RasterizePolygons to the internal pool. The caller must not use ra (or aliases of its Data)
 // afterwards. Safe to call with nil.
 //
 //postopc:allocfree

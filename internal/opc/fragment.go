@@ -135,33 +135,29 @@ func (fp *FragmentedPolygon) Corrected() geom.Polygon {
 	if len(fp.Frags) == 0 {
 		return fp.Drawn.Clone()
 	}
-	type seg struct{ a, b geom.Point }
-	segs := make([]seg, len(fp.Frags))
+	n := len(fp.Frags)
+	out := make(geom.Polygon, 0, 2*n)
 	for i, f := range fp.Frags {
-		off := f.Normal.Scale(f.Bias)
-		segs[i] = seg{f.A.Add(off), f.B.Add(off)}
-	}
-	var out geom.Polygon
-	n := len(segs)
-	for i := 0; i < n; i++ {
-		cur, next := segs[i], segs[(i+1)%n]
-		curHoriz := fp.Frags[i].Normal.Y != 0 // horizontal edge has vertical normal
-		nextHoriz := fp.Frags[(i+1)%n].Normal.Y != 0
+		next := fp.Frags[(i+1)%n]
+		curB := f.B.Add(f.Normal.Scale(f.Bias))           // end of the displaced fragment
+		nextA := next.A.Add(next.Normal.Scale(next.Bias)) // start of the displaced next one
+		curHoriz := f.Normal.Y != 0                       // horizontal edge has vertical normal
+		nextHoriz := next.Normal.Y != 0
 		if curHoriz != nextHoriz {
 			// Perpendicular: join at the intersection of the two offset
 			// lines.
 			var corner geom.Point
 			if curHoriz {
-				corner = geom.Pt(next.a.X, cur.b.Y)
+				corner = geom.Pt(nextA.X, curB.Y)
 			} else {
-				corner = geom.Pt(cur.b.X, next.a.Y)
+				corner = geom.Pt(curB.X, nextA.Y)
 			}
 			out = append(out, corner)
 		} else {
 			// Parallel fragments: emit both endpoints; the connecting jog
 			// is the perpendicular segment between them (may be zero
 			// length when biases match — deduped below).
-			out = append(out, cur.b, next.a)
+			out = append(out, curB, nextA)
 		}
 	}
 	if simplified := out.Simplify(); simplified != nil {

@@ -52,8 +52,15 @@ type Result struct {
 	// FinalEPE holds the residual EPE (nm, signed, outward-positive) of
 	// every fragment after the last iteration.
 	FinalEPE []float64
+	// NoEdge is the number of fragments whose final-pass search found no
+	// printed edge within ±searchNM; their FinalEPE is that saturated
+	// bound, not a measured distance.
+	NoEdge int
 	// Iterations actually executed.
 	Iterations int
+	// Converged reports whether the loop stopped early because every
+	// fragment's EPE was under 1 nm.
+	Converged bool
 	// Sims is the number of aerial simulations spent.
 	Sims int
 }
@@ -61,7 +68,9 @@ type Result struct {
 // ModelBased iteratively corrects the drawn polygons so they print at size
 // under the given model at the nominal process condition. Context polygons
 // (neighbouring geometry that is not corrected here, e.g. from adjacent
-// windows) are rasterized into every simulation but left unmodified.
+// windows) are rasterized into every simulation but left unmodified. Each
+// simulation's raster and image go back to litho's pools once read, so an
+// iteration allocates no raster or image.
 func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Result, error) {
 	if opt.Iterations <= 0 {
 		opt.Iterations = defaultIterations
@@ -75,14 +84,14 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 		res.Fragmented = append(res.Fragmented, fp)
 	}
 	r := m.Recipe()
+	masks := make([]geom.Polygon, 0, len(drawn)+len(context))
 	for iter := 0; iter < opt.Iterations; iter++ {
-		masks := make([]geom.Polygon, 0, len(drawn)+len(context))
+		masks = masks[:0]
 		for _, fp := range res.Fragmented {
 			masks = append(masks, fp.Corrected())
 		}
 		masks = append(masks, context...)
-		raster := litho.RasterizePolygons(masks, r.PixelNM, r.GuardNM)
-		im, err := m.Aerial(raster, litho.Nominal)
+		im, err := simulate(m, masks, litho.Nominal)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +100,7 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 		maxAbs := 0.0
 		for _, fp := range res.Fragmented {
 			for _, f := range fp.Frags {
-				epe := MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM)
+				epe, _ := MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM)
 				move := geom.Coord(math.Round(-gain * epe))
 				if move > maxMoveNM {
 					move = maxMoveNM
@@ -109,30 +118,48 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 				}
 			}
 		}
+		litho.RecycleImage(im)
 		enforceMinSpace(res.Fragmented, context)
 		if maxAbs < 1.0 { // converged to sub-nm
+			res.Converged = true
 			break
 		}
 	}
 	// Final verification pass at nominal.
-	masks := make([]geom.Polygon, 0, len(drawn))
+	masks = masks[:0]
 	for _, fp := range res.Fragmented {
 		pg := fp.Corrected()
 		masks = append(masks, pg)
 		res.Polygons = append(res.Polygons, pg)
 	}
-	raster := litho.RasterizePolygons(append(masks, context...), r.PixelNM, r.GuardNM)
-	im, err := m.Aerial(raster, litho.Nominal)
+	im, err := simulate(m, append(masks, context...), litho.Nominal)
 	if err != nil {
 		return nil, err
 	}
 	res.Sims++
 	for _, fp := range res.Fragmented {
 		for _, f := range fp.Frags {
-			res.FinalEPE = append(res.FinalEPE, MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM))
+			epe, found := MeasureEPE(im, f, r.Threshold, r.Polarity, searchNM)
+			res.FinalEPE = append(res.FinalEPE, epe)
+			if !found {
+				res.NoEdge++
+			}
 		}
 	}
+	litho.RecycleImage(im)
 	return res, nil
+}
+
+// simulate rasterizes polys over their bounding box plus the recipe's
+// guard band and images them under m at corner c. The raster goes back to
+// litho's pool at once; the caller hands the image to litho.RecycleImage
+// once it has read it.
+func simulate(m litho.Model, polys []geom.Polygon, c litho.Corner) (*litho.Image, error) {
+	r := m.Recipe()
+	raster := litho.RasterizePolygons(polys, r.PixelNM, r.GuardNM)
+	im, err := m.Aerial(raster, c)
+	litho.RecycleRaster(raster)
+	return im, err
 }
 
 // enforceMinSpace is the mask-rule check: any fragment whose corrected
@@ -140,7 +167,9 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 // geometry is pulled back. Neighbours include the other corrected polygons
 // and the uncorrected context.
 func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon) {
-	// Region of everything at current biases.
+	// Region of everything at current biases. Clearance only asks whether
+	// a point lies in it, which the polygons' own decompositions answer
+	// without normalizing their union.
 	var all geom.Region
 	for _, fp := range frags {
 		all = append(all, geom.RegionFromPolygon(fp.Corrected())...)
@@ -148,7 +177,6 @@ func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon) {
 	for _, pg := range context {
 		all = append(all, geom.RegionFromPolygon(pg)...)
 	}
-	all = all.Normalize()
 	for _, fp := range frags {
 		for _, f := range fp.Frags {
 			if f.Bias <= 0 {
@@ -173,9 +201,10 @@ func enforceMinSpace(frags []*FragmentedPolygon, context []geom.Polygon) {
 // MeasureEPE returns the signed edge placement error of a fragment: the
 // distance from the drawn edge (the fragment's control point) to the
 // printed edge along the outward normal. Positive = printed edge outside
-// drawn (feature too wide). If no printed edge is found within ±search,
-// the error saturates at ±search (feature lost or merged).
-func MeasureEPE(im *litho.Image, f *Fragment, threshold float64, pol litho.Polarity, search geom.Coord) float64 {
+// drawn (feature too wide). found reports whether a printed edge lay
+// within ±search; when none did, the error saturates at ±search (feature
+// merged or lost) and found is false.
+func MeasureEPE(im *litho.Image, f *Fragment, threshold float64, pol litho.Polarity, search geom.Coord) (epe float64, found bool) {
 	nx, ny := float64(f.Normal.X), float64(f.Normal.Y)
 	cx, cy := float64(f.Control.X), float64(f.Control.Y)
 	printed := func(d float64) bool {
@@ -191,7 +220,6 @@ func MeasureEPE(im *litho.Image, f *Fragment, threshold float64, pol litho.Polar
 	// would mis-lock onto the far edge of narrow features.
 	const step = 2.0
 	best := math.Inf(1)
-	found := false
 	prev := -s
 	prevIn := printed(prev)
 	for d := -s + step; d <= s+step/2; d += step {
@@ -221,10 +249,10 @@ func MeasureEPE(im *litho.Image, f *Fragment, threshold float64, pol litho.Polar
 		}
 	}
 	if found {
-		return best
+		return best, true
 	}
 	if printed(0) {
-		return s // printed everywhere in range: feature merged/too wide
+		return s, false // printed everywhere in range: feature merged/too wide
 	}
-	return -s // never printed: feature lost at this edge
+	return -s, false // never printed: feature lost at this edge
 }

@@ -146,21 +146,27 @@ func TestMeasureEPESynthetic(t *testing.T) {
 	// Fragment with drawn edge at x=200 (outward normal +x): printed edge
 	// is at ~190, i.e. EPE ≈ -10 (printed inside drawn).
 	f := &Fragment{Control: geom.Pt(200, 50), Normal: geom.Pt(1, 0)}
-	epe := MeasureEPE(im, f, 0.3, litho.ClearField, 60)
-	if math.Abs(epe-(-10)) > 4 {
-		t.Fatalf("EPE = %g, want ~-10", epe)
+	epe, found := MeasureEPE(im, f, 0.3, litho.ClearField, 60)
+	if math.Abs(epe-(-10)) > 4 || !found {
+		t.Fatalf("EPE = %g (found %v), want ~-10 found", epe, found)
 	}
 	// Drawn edge at x=180: printed edge at 190 -> EPE +10.
 	f = &Fragment{Control: geom.Pt(180, 50), Normal: geom.Pt(1, 0)}
-	epe = MeasureEPE(im, f, 0.3, litho.ClearField, 60)
-	if math.Abs(epe-10) > 4 {
-		t.Fatalf("EPE = %g, want ~+10", epe)
+	epe, found = MeasureEPE(im, f, 0.3, litho.ClearField, 60)
+	if math.Abs(epe-10) > 4 || !found {
+		t.Fatalf("EPE = %g (found %v), want ~+10 found", epe, found)
 	}
-	// Far outside any feature: saturates at -search.
+	// Far outside any feature: saturates at -search, with no edge found.
 	f = &Fragment{Control: geom.Pt(20, 50), Normal: geom.Pt(-1, 0)}
-	epe = MeasureEPE(im, f, 0.3, litho.ClearField, 15)
-	if epe != -15 {
-		t.Fatalf("lost-feature EPE = %g, want -15", epe)
+	epe, found = MeasureEPE(im, f, 0.3, litho.ClearField, 15)
+	if epe != -15 || found {
+		t.Fatalf("lost-feature EPE = %g (found %v), want -15 not found", epe, found)
+	}
+	// Inside the feature with no edge in range: saturates at +search.
+	f = &Fragment{Control: geom.Pt(145, 50), Normal: geom.Pt(1, 0)}
+	epe, found = MeasureEPE(im, f, 0.3, litho.ClearField, 15)
+	if epe != 15 || found {
+		t.Fatalf("merged-feature EPE = %g (found %v), want +15 not found", epe, found)
 	}
 }
 

@@ -64,6 +64,7 @@ func BuildRuleTable(m litho.Model, widthNM geom.Coord, spacesNM []geom.Coord) (*
 			mid := centers[len(centers)/2]
 			res := im.MeasureCD(litho.AxisX, 0, mid-float64(pitch)/2, mid+float64(pitch)/2,
 				mid, r.Threshold, r.Polarity)
+			litho.RecycleImage(im)
 			if !res.OK || res.CD < float64(widthNM) {
 				lo = bias // line too thin: widen the mask
 			} else {

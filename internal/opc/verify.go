@@ -51,20 +51,20 @@ func NewHistogram(values []float64, lo, hi float64, n int) Histogram {
 // geometry. Tolerance sets the violation threshold (nm).
 func Verify(m litho.Model, corrected, context []geom.Polygon, targets []*FragmentedPolygon,
 	c litho.Corner, tolerance float64) ([]float64, EPEStats, error) {
-	r := m.Recipe()
-	raster := litho.RasterizePolygons(append(append([]geom.Polygon{}, corrected...), context...),
-		r.PixelNM, r.GuardNM)
-	im, err := m.Aerial(raster, c)
+	im, err := simulate(m, append(append([]geom.Polygon{}, corrected...), context...), c)
 	if err != nil {
 		return nil, EPEStats{}, err
 	}
+	r := m.Recipe()
 	th := r.EffectiveThreshold(c)
 	var epes []float64
 	for _, fp := range targets {
 		for _, f := range fp.Frags {
-			epes = append(epes, MeasureEPE(im, f, th, r.Polarity, searchNM))
+			epe, _ := MeasureEPE(im, f, th, r.Polarity, searchNM)
+			epes = append(epes, epe)
 		}
 	}
+	litho.RecycleImage(im)
 	return epes, SummarizeEPE(epes, tolerance), nil
 }
 

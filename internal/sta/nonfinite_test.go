@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"postopc/internal/layout"
@@ -179,38 +180,91 @@ func TestExtremeLengthsNoNaNSlack(t *testing.T) {
 	}
 }
 
-// TestNaNSlackSortsFirst covers the one way left to a NaN slack: a
-// negative wire load and contact resistance at a flop whose Q net is an
-// endpoint overflow against an infinite drive term into a NaN launch.
-// finish sorts the NaN slack first, and a Monte Carlo sample's scan must
-// return the same bits.
-func TestNaNSlackSortsFirst(t *testing.T) {
+// ffChain is two flops in a chain: f1's Q net q1 feeds f2's D, and f2's Q
+// net q2 is the primary output.
+func ffChain() *netlist.Netlist {
 	n := &netlist.Netlist{Name: "ff2", Inputs: []string{"din", "clk"}}
 	n.AddGate("f1", "DFF_X1", map[string]string{"D": "din", "CK": "clk", "Q": "q1"})
 	n.AddGate("f2", "DFF_X1", map[string]string{"D": "q1", "CK": "clk", "Q": "q2"})
 	n.Outputs = []string{"q2"}
+	return n
+}
+
+// hugeDriveNegContact is the annotation of the probes below: the largest
+// delay length with the most negative contact resistance.
+func hugeDriveNegContact(layout.GateSite) timinglib.Lengths {
+	return timinglib.Lengths{DelayL: math.MaxFloat64, LeakL: 90, RContactOhm: -math.MaxFloat64}
+}
+
+// A negative wire load or contact resistance fails every analysis entry
+// point with a named error. Without the checks, the two probes here went
+// wrong silently: on Datapath(4, 5, 1), the contact resistance
+// −math.MaxFloat64 at delay length math.MaxFloat64 made every arc's R·C
+// term Inf − Inf, so every candidate arrival lost propagateGate's > and
+// the analysis failed with "no constrained endpoints"; on the two-flop
+// chain, −1e300 fF wire loads with the same annotation at f1 made f1's
+// launch arrival and f2/D's slack NaN.
+func TestNegativeLoadAndContactRejected(t *testing.T) {
+	n := netlist.Datapath(4, 5, 1)
 	g := buildGraph(t, n)
 	cfg := DefaultConfig(2000)
-	cfg.WireLoads = map[string]float64{"q1": -1e300, "q2": -1e300}
-	base, err := g.Analyze(cfg, nil)
+	every := Annotations{}
+	for _, gt := range n.Gates {
+		every[gt.Name] = hugeDriveNegContact
+	}
+	for entry, err := range nonFiniteEntryPoints(t, g, cfg, cfg, every) {
+		if !errors.Is(err, timinglib.ErrNegativeContactResistance) {
+			t.Errorf("Datapath contact probe: %s returned %v, want timinglib.ErrNegativeContactResistance", entry, err)
+		}
+	}
+
+	chain := buildGraph(t, ffChain())
+	neg := cfg
+	neg.WireLoads = map[string]float64{"q1": -1e300, "q2": -1e300}
+	f1 := Annotations{"f1": hugeDriveNegContact}
+	for entry, err := range nonFiniteEntryPoints(t, chain, cfg, neg, f1) {
+		if !errors.Is(err, ErrNegativeWireLoad) || !strings.Contains(err.Error(), `"q1"`) {
+			t.Errorf("two-flop load probe: %s returned %v, want ErrNegativeWireLoad naming q1", entry, err)
+		}
+	}
+	if _, err := chain.AnalyzeSSTA(neg, DefaultSSTAParams(), zeroArcs{}); !errors.Is(err, ErrNegativeWireLoad) {
+		t.Errorf("two-flop load probe: AnalyzeSSTA returned %v, want ErrNegativeWireLoad", err)
+	}
+	for entry, err := range nonFiniteEntryPoints(t, chain, cfg, cfg, f1) {
+		if !errors.Is(err, timinglib.ErrNegativeContactResistance) || !strings.Contains(err.Error(), "site") {
+			t.Errorf("two-flop contact probe: %s returned %v, want timinglib.ErrNegativeContactResistance naming the site", entry, err)
+		}
+	}
+}
+
+// No accepted input gives a NaN slack any more, so this test makes two: it
+// overwrites the arrivals at f2/D and at the primary output q2 of the
+// two-flop chain with NaN. finish orders slacks by cmp.Compare, which puts
+// a NaN first, and two NaNs by name; a Monte Carlo sample's scan,
+// worstSlack, must return the bits of finish's WNS.
+func TestNaNSlackSortsFirst(t *testing.T) {
+	g := buildGraph(t, ffChain())
+	cfg := DefaultConfig(2000)
+	res, err := g.Analyze(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := Annotations{"f1": func(layout.GateSite) timinglib.Lengths {
-		return timinglib.Lengths{DelayL: math.MaxFloat64, LeakL: 90, RContactOhm: -math.MaxFloat64}
-	}}
-	want, err := g.AnalyzeIncremental(cfg, ann, base)
+	for _, net := range []string{"q1", "q2"} {
+		a := &res.arr[g.netIdx[net]]
+		a.atR, a.atF = math.NaN(), math.NaN()
+	}
+	if err := g.finish(res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Endpoints) != 3 || res.Endpoints[0].Name != "f2/D" || res.Endpoints[1].Name != "q2" ||
+		!math.IsNaN(res.Endpoints[0].SlackPS) || !math.IsNaN(res.Endpoints[1].SlackPS) || !math.IsNaN(res.WNS) {
+		t.Fatalf("want the NaN slacks of f2/D then q2 first, got WNS %v and endpoints %+v", res.WNS, res.Endpoints)
+	}
+	wns, err := g.worstSlack(res.arr, cfg.ClockPS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(want.WNS) || !math.IsNaN(want.Endpoints[0].SlackPS) || want.Endpoints[0].Name != "f2/D" {
-		t.Fatalf("want the NaN slack of f2/D first, got WNS %v and endpoints %+v", want.WNS, want.Endpoints)
-	}
-	wns, leak, err := g.MonteCarlo(cfg, base, 1, shared(func(int) Annotations { return ann }), MonteCarloOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEq(wns[0], want.WNS) || !bitsEq(leak[0], want.LeakNW) {
-		t.Fatalf("sample (WNS %v, leak %v), AnalyzeIncremental (%v, %v)", wns[0], leak[0], want.WNS, want.LeakNW)
+	if !bitsEq(wns, res.WNS) {
+		t.Fatalf("worstSlack %v, finish's WNS %v", wns, res.WNS)
 	}
 }

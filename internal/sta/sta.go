@@ -58,22 +58,36 @@ type Config struct {
 // any other, so WNS and the path ranking would silently skip it.
 var ErrNonFiniteConfig = errors.New("sta: non-finite boundary condition")
 
+// ErrNegativeWireLoad is the error an analysis returns, wrapped with the
+// net's name, when a Config.WireLoads entry is negative. A negative load
+// against an enormous drive term makes an arc's R·C term Inf − Inf, so a
+// flop's launch arrival and its endpoint's slack would be NaN.
+var ErrNegativeWireLoad = errors.New("sta: negative wire load")
+
 // check rejects a Config whose ClockPS or any WireLoads entry is not
-// finite, naming the clock or the first such net in name order.
+// finite, then one with a negative WireLoads entry, naming the clock or
+// the first such net in name order.
 func (cfg Config) check() error {
 	if math.IsNaN(cfg.ClockPS) || math.IsInf(cfg.ClockPS, 0) {
 		return fmt.Errorf("%w: ClockPS %g", ErrNonFiniteConfig, cfg.ClockPS)
 	}
-	bad, found := "", false
-	for net, w := range cfg.WireLoads {
-		if (math.IsNaN(w) || math.IsInf(w, 0)) && (!found || net < bad) {
-			bad, found = net, true
-		}
+	if net, ok := firstWireLoad(cfg.WireLoads, func(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) }); ok {
+		return fmt.Errorf("%w: WireLoads[%q] %g", ErrNonFiniteConfig, net, cfg.WireLoads[net])
 	}
-	if found {
-		return fmt.Errorf("%w: WireLoads[%q] %g", ErrNonFiniteConfig, bad, cfg.WireLoads[bad])
+	if net, ok := firstWireLoad(cfg.WireLoads, func(w float64) bool { return w < 0 }); ok {
+		return fmt.Errorf("%w: WireLoads[%q] %g", ErrNegativeWireLoad, net, cfg.WireLoads[net])
 	}
 	return nil
+}
+
+// firstWireLoad returns the first net in name order whose load is bad.
+func firstWireLoad(loads map[string]float64, bad func(float64) bool) (net string, found bool) {
+	for n, w := range loads {
+		if bad(w) && (!found || n < net) {
+			net, found = n, true
+		}
+	}
+	return net, found
 }
 
 // DefaultConfig returns sensible N90 boundary conditions (the clock must
@@ -427,8 +441,10 @@ func (p Path) Gates() []string {
 }
 
 // Analyze runs STA under the given annotations. A non-finite boundary
-// condition fails with ErrNonFiniteConfig, and a non-finite annotated
-// length with timinglib.ErrNonFiniteLength.
+// condition fails with ErrNonFiniteConfig, a negative wire load with
+// ErrNegativeWireLoad, a non-finite annotated length with
+// timinglib.ErrNonFiniteLength and a negative contact resistance with
+// timinglib.ErrNegativeContactResistance.
 func (g *Graph) Analyze(cfg Config, ann Annotations) (*Result, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -624,14 +640,13 @@ func (g *Graph) finish(res *Result) error {
 	}
 	res.Endpoints = eps
 	// Ascending slack, then name (names are unique), in cmp.Compare's
-	// order, which puts a NaN slack first. Finite lengths with
-	// non-negative loads and contact resistances give none: analyses
-	// reject non-finite inputs, ArcDelay times a cell without drive at
-	// 1e9 ps instead of dividing by zero, so every delay lies in
-	// [0, +Inf], and propagateGate's > never takes a NaN candidate
-	// (TestExtremeLengthsNoNaNSlack). A negative load and contact
-	// resistance can overflow into a NaN flop launch
-	// (TestNaNSlackSortsFirst); worstSlack scans in the same order.
+	// order, which puts a NaN slack first (TestNaNSlackSortsFirst);
+	// worstSlack scans in the same order. No accepted input gives one:
+	// analyses reject non-finite inputs, negative wire loads and negative
+	// contact resistances, ArcDelay times a cell without drive at 1e9 ps
+	// instead of dividing by zero, so every delay lies in [0, +Inf], and
+	// propagateGate's > never takes a NaN candidate
+	// (TestExtremeLengthsNoNaNSlack).
 	slices.SortFunc(eps, func(a, b Endpoint) int {
 		if c := cmp.Compare(a.SlackPS, b.SlackPS); c != 0 {
 			return c

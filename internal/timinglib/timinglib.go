@@ -39,6 +39,12 @@ type Lengths struct {
 // drop out of the timing without an error.
 var ErrNonFiniteLength = errors.New("timinglib: non-finite annotated length")
 
+// ErrNegativeContactResistance is the error Evaluate returns, wrapped with
+// the gate site's name, when an annotation's RContactOhm is negative. With
+// an enormous annotated length a negative contact resistance makes an
+// arc's R·C term Inf − Inf, and the NaN arrivals drop out of the timing.
+var ErrNegativeContactResistance = errors.New("timinglib: negative contact resistance")
+
 // Annotator supplies effective lengths for a cell's gate sites. The site
 // names are cell-local ("MN0_0"); the flow wraps this with per-instance
 // extraction results. Returning the drawn length reproduces sign-off-style
@@ -108,7 +114,8 @@ func New(p *pdk.PDK) *Lib {
 // nil annotator is drawn timing: the cell's drawn Eval is computed once,
 // on the cell's first use, by the same code as Evaluate(cell, Drawn), and
 // returned from then on. An annotation with a NaN or infinite length or
-// contact resistance fails with ErrNonFiniteLength.
+// contact resistance fails with ErrNonFiniteLength, and one with a negative
+// contact resistance with ErrNegativeContactResistance.
 func (tl *Lib) Evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 	if cell.Kind == stdcell.Fill {
 		return Eval{}, fmt.Errorf("timinglib: fill cell %s has no timing", cell.Name)
@@ -132,6 +139,10 @@ func (tl *Lib) evaluate(cell *stdcell.Info, ann Annotator) (Eval, error) {
 		if !finite(ln.DelayL) || !finite(ln.LeakL) || !finite(ln.RContactOhm) {
 			return Eval{}, fmt.Errorf("%w: site %s of %s: DelayL %g, LeakL %g, RContactOhm %g",
 				ErrNonFiniteLength, g.Name, cell.Name, ln.DelayL, ln.LeakL, ln.RContactOhm)
+		}
+		if ln.RContactOhm < 0 {
+			return Eval{}, fmt.Errorf("%w: site %s of %s: RContactOhm %g",
+				ErrNegativeContactResistance, g.Name, cell.Name, ln.RContactOhm)
 		}
 		wUm := float64(g.W()) / 1000
 		// Drive at the annotated delay length.
