@@ -15,7 +15,7 @@
 // The analyzer flags, outside package main and the obs package itself:
 // calls to the obs read API (Counter.Value, Gauge.Value,
 // Registry.Snapshot, Tracer.Events, Tracer.SummaryTable,
-// Tracer.WriteChromeTrace, WritePrometheus, Handler, plus the run-ledger
+// Tracer.WriteChromeTrace, WritePrometheus, plus the run-ledger
 // and flight-recorder read half — WriteLedger, ReadLedger, SummaryTables,
 // Flight.Recent, Flight.Dump) and comparisons of span identifiers
 // (branching on trace topology is reading it).
@@ -51,7 +51,6 @@ var readAPI = map[string]bool{
 	"SummaryTables":    true,
 	"WriteChromeTrace": true,
 	"WritePrometheus":  true,
-	"Handler":          true,
 	"WriteLedger":      true,
 	"ReadLedger":       true,
 	"Recent":           true,

@@ -1,17 +1,18 @@
 // Package cli holds the shared command-line plumbing of the cmd/ tools:
 // uniform fatal-error diagnostics (every tool prefixes stderr with its
 // name and exits non-zero) and the run-telemetry flags (-metrics, -trace,
-// -pprof, -ledger) that attach an obs.Sink to a run and export it at exit.
+// -cpuprofile, -ledger). Each flag names a file that is written at exit;
+// the tools serve nothing. Status lines about those files go to stderr,
+// because stdout carries the tools' data.
 package cli
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
+	"io"
 	"os"
 	"runtime"
-	"time"
+	"runtime/pprof"
 
 	"postopc/internal/obs"
 )
@@ -23,9 +24,12 @@ var flightRing *obs.Flight
 
 // Fatal prints "tool: err" to stderr and exits with status 1. Every cmd/
 // binary funnels its fatal paths through this so diagnostics are uniform
-// across the tool set. When a flight recorder is live (-ledger), its ring
-// is dumped first — the tail of the span trace that led to the failure.
+// across the tool set. A running CPU profile (-cpuprofile) is stopped
+// first, so a failed run still leaves a readable profile. When a flight
+// recorder is live (-ledger), its ring is dumped — the tail of the span
+// trace that led to the failure.
 func Fatal(tool string, err error) {
+	pprof.StopCPUProfile()
 	if flightRing != nil {
 		flightRing.Dump(os.Stderr) //postopc:nolint:obswrite crash path: the dump IS the export boundary
 	}
@@ -33,13 +37,7 @@ func Fatal(tool string, err error) {
 	os.Exit(1)
 }
 
-// Fatalf is Fatal with a format string.
-func Fatalf(tool, format string, args ...interface{}) {
-	Fatal(tool, fmt.Errorf(format, args...))
-}
-
-// Telemetry wires the -metrics/-trace/-pprof/-ledger flags to an
-// obs.Sink. Usage:
+// Telemetry wires the -metrics/-trace/-cpuprofile/-ledger flags. Usage:
 //
 //	tel := cli.Telemetry("mytool")
 //	flag.Parse()
@@ -47,51 +45,56 @@ func Fatalf(tool, format string, args ...interface{}) {
 //	defer tel.Close()
 //	... pass tel.Sink to flow.EnableObs / litho Instrument / par.Obs ...
 //
-// Sink is nil (all handles no-ops) when none of the flags were given, so
-// tools pass it through unconditionally.
+// Sink is nil (all handles no-ops) unless -metrics, -trace or -ledger was
+// given, so tools pass it through unconditionally. -cpuprofile alone
+// leaves Sink nil: the profiled run is the uninstrumented one.
 type TelemetryFlags struct {
-	tool    string
-	metrics string
-	trace   string
-	pprof   string
-	ledger  string
+	tool       string
+	metrics    string
+	trace      string
+	cpuprofile string
+	ledger     string
 
 	// Sink is the run's telemetry sink; nil until Start decides the run
 	// is instrumented.
 	Sink *obs.Sink
 
-	// srv is the live -metrics server, shut down gracefully by Close.
-	srv *http.Server
+	// profile is the open -cpuprofile file, closed by Close.
+	profile *os.File
 }
 
-// Telemetry registers -metrics, -trace, -pprof and -ledger on the default
-// FlagSet. Call before flag.Parse; Start after.
+// Telemetry registers -metrics, -trace, -cpuprofile and -ledger on the
+// default FlagSet. Call before flag.Parse; Start after.
 func Telemetry(tool string) *TelemetryFlags {
 	t := &TelemetryFlags{tool: tool}
 	flag.StringVar(&t.metrics, "metrics", "",
-		"export metrics: a file path writes Prometheus text at exit; \":port\" serves it live at /metrics")
+		"write the run's metrics to this file in Prometheus text format at exit")
 	flag.StringVar(&t.trace, "trace", "",
 		"write the run's spans to this file as Chrome trace-event JSON (load via chrome://tracing or Perfetto)")
-	flag.StringVar(&t.pprof, "pprof", "",
-		"serve net/http/pprof on \":port\" for live CPU/heap profiling")
+	flag.StringVar(&t.cpuprofile, "cpuprofile", "",
+		"write a CPU profile of the run to this file (read it with go tool pprof)")
 	flag.StringVar(&t.ledger, "ledger", "",
 		"write the run ledger to this file as JSON lines: manifest, metrics, exact per-stage percentiles, per-window records and slowest-window exemplars (diff two with postopc-report)")
 	return t
 }
 
-// Start creates the sink when any telemetry flag was given and launches
-// the -metrics/-pprof HTTP servers. -ledger additionally attaches the run
-// journal and a flight-recorder ring (dumped on fatal exits and SIGQUIT)
-// and stamps the run manifest. Server failures (e.g. a busy port) are
-// fatal: asking for telemetry and silently not getting it would be worse
-// than stopping.
+// Start begins the CPU profile for -cpuprofile, then creates the sink
+// when -metrics, -trace or -ledger was given. -ledger additionally
+// attaches the run journal and a flight-recorder ring (dumped on fatal
+// exits and SIGQUIT) and stamps the run manifest. A profile file that
+// cannot be created is fatal: asking for telemetry and silently not
+// getting it would be worse than stopping.
 func (t *TelemetryFlags) Start() {
-	if t.pprof != "" {
-		go func() {
-			if err := http.ListenAndServe(t.pprof, nil); err != nil {
-				Fatalf(t.tool, "pprof server: %v", err)
-			}
-		}()
+	if t.cpuprofile != "" {
+		f, err := os.Create(t.cpuprofile)
+		if err != nil {
+			Fatal(t.tool, err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			Fatal(t.tool, err)
+		}
+		t.profile = f
 	}
 	if t.metrics == "" && t.trace == "" && t.ledger == "" {
 		return
@@ -116,87 +119,55 @@ func (t *TelemetryFlags) Start() {
 		flightRing = t.Sink.Flight
 		installQuitDump()
 	}
-	if isPort(t.metrics) {
-		t.srv = obs.NewServer(t.metrics, t.Sink.Metrics)
-		go func() {
-			if err := t.srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				Fatalf(t.tool, "metrics server: %v", err)
-			}
-		}()
-	}
 }
 
-// Close exports the collected telemetry: the Prometheus file for a
-// file-valued -metrics, the Chrome trace for -trace, the run ledger for
-// -ledger, and a per-span summary table on stdout when tracing was on.
-// The live -metrics server, if any, is drained gracefully. Call once, at
-// the end of a successful run.
+// Close stops the CPU profile and closes its file, then exports the
+// collected telemetry: the Prometheus file for -metrics, the Chrome trace
+// and a per-span summary table for -trace, the run ledger for -ledger.
+// Every status line goes to stderr. Call once, at the end of a successful
+// run.
 func (t *TelemetryFlags) Close() {
+	if t.profile != nil {
+		pprof.StopCPUProfile()
+		if err := t.profile.Close(); err != nil {
+			Fatal(t.tool, err)
+		}
+		fmt.Fprintln(os.Stderr, "wrote CPU profile to", t.cpuprofile)
+	}
 	if t.Sink == nil {
 		return
 	}
-	obs.ShutdownServer(t.srv, 2*time.Second)
-	if t.metrics != "" && !isPort(t.metrics) {
-		f, err := os.Create(t.metrics)
-		if err != nil {
-			Fatal(t.tool, err)
-		}
-		werr := obs.WritePrometheus(f, t.Sink.Metrics.Snapshot()) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			Fatal(t.tool, werr)
-		}
-		fmt.Println("wrote metrics to", t.metrics)
+	if t.metrics != "" {
+		t.writeFile(t.metrics, "metrics", func(w io.Writer) error {
+			return obs.WritePrometheus(w, t.Sink.Metrics.Snapshot()) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
+		})
 	}
 	if t.trace != "" {
-		f, err := os.Create(t.trace)
-		if err != nil {
-			Fatal(t.tool, err)
-		}
-		werr := t.Sink.Trace.WriteChromeTrace(f) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			Fatal(t.tool, werr)
-		}
-		t.Sink.Trace.SummaryTable().Fprint(os.Stdout) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
-		fmt.Println("wrote trace to", t.trace)
+		t.Sink.Trace.SummaryTable().Fprint(os.Stderr) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
+		t.writeFile(t.trace, "trace", func(w io.Writer) error {
+			return t.Sink.Trace.WriteChromeTrace(w) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
+		})
 	}
 	if t.ledger != "" {
-		f, err := os.Create(t.ledger)
-		if err != nil {
-			Fatal(t.tool, err)
-		}
-		werr := t.Sink.WriteLedger(f) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			Fatal(t.tool, werr)
-		}
-		fmt.Println("wrote run ledger to", t.ledger)
+		t.writeFile(t.ledger, "run ledger", func(w io.Writer) error {
+			return t.Sink.WriteLedger(w) //postopc:nolint:obswrite Close runs after the computation; this is the export boundary
+		})
 	}
 }
 
-// isPort reports whether the -metrics value selects the live server
-// (":8080", "localhost:8080") rather than an output file.
-func isPort(s string) bool {
-	if s == "" {
-		return false
+// writeFile creates path, fills it with write and closes it; any failure
+// is fatal. It reports the written file on stderr.
+func (t *TelemetryFlags) writeFile(path, what string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		Fatal(t.tool, err)
 	}
-	if s[0] == ':' {
-		return true
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' || s[i] == os.PathSeparator {
-			return false
-		}
-		if s[i] == ':' {
-			return true
-		}
+	if werr != nil {
+		Fatal(t.tool, werr)
 	}
-	return false
+	fmt.Fprintln(os.Stderr, "wrote", what, "to", path)
 }

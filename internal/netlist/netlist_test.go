@@ -163,6 +163,13 @@ endmodule
 }
 
 func TestParseVerilogErrors(t *testing.T) {
+	// One module per file: a second module, or a status line appended
+	// after endmodule, is rejected instead of dropped.
+	trailing := []string{
+		"module m (a); input a; INV_X1 u0 (.A(a)); endmodule\n" +
+			"module n (b); input b; INV_X1 u1 (.A(b)); endmodule\n",
+		"module m (a); input a; INV_X1 u0 (.A(a)); endmodule\nwrote metrics to m.prom\n",
+	}
 	cases := []string{
 		"",
 		"module",
@@ -180,6 +187,8 @@ func TestParseVerilogErrors(t *testing.T) {
 		"module m (); INV_X1 ; (.A(x)); endmodule",
 		"module m (); INV_X1 u0 (.((x)); endmodule",
 		"module m (); INV_X1 u0 (.A(,)); endmodule",
+		trailing[0],
+		trailing[1],
 	}
 	for i, src := range cases {
 		if _, err := ParseVerilog(strings.NewReader(src)); err == nil {
@@ -191,6 +200,11 @@ func TestParseVerilogErrors(t *testing.T) {
 		"INV_X1 u1 (.A(a), .Y(n)); INV_X1 u1 (.A(n), .Y(y)); endmodule"
 	if _, err := ParseVerilog(strings.NewReader(dup)); !errors.Is(err, ErrDuplicateInstance) {
 		t.Errorf("repeated instance name: err = %v, want ErrDuplicateInstance", err)
+	}
+	for i, src := range trailing {
+		if _, err := ParseVerilog(strings.NewReader(src)); !errors.Is(err, ErrTrailingInput) {
+			t.Errorf("trailing case %d: err = %v, want ErrTrailingInput", i, err)
+		}
 	}
 }
 
@@ -212,6 +226,8 @@ func FuzzParseVerilog(f *testing.F) {
 		"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
 		"module m (a); input ); endmodule",
 		"module m (); INV_X1 u1 (.A(a)); INV_X1 u1 (.A(b)); endmodule",
+		"module m (a); input a; INV_X1 u0 (.A(a)); endmodule\n" +
+			"module n (b); input b; INV_X1 u1 (.A(b)); endmodule\n",
 	} {
 		f.Add(src)
 	}

@@ -70,18 +70,30 @@ func WriteVerilog(w io.Writer, n *Netlist) error {
 // by instance name, so a repeat would silently shadow the earlier gate.
 var ErrDuplicateInstance = errors.New("netlist: duplicate instance name")
 
+// ErrTrailingInput is returned (wrapped) by ParseVerilog when tokens follow
+// the module's endmodule: a second module, or text appended to the file,
+// would otherwise be dropped without a word.
+var ErrTrailingInput = errors.New("netlist: input after endmodule")
+
 // ParseVerilog reads the structural subset produced by WriteVerilog. It is
-// not a general Verilog parser: one module per file, explicit pin
-// connections, no expressions, no buses. Every name — module, port, net,
-// cell, instance and pin — must be an identifier token, and instance names
-// must be unique (ErrDuplicateInstance).
+// not a general Verilog parser: one module per file (ErrTrailingInput),
+// explicit pin connections, no expressions, no buses. Every name — module,
+// port, net, cell, instance and pin — must be an identifier token, and
+// instance names must be unique (ErrDuplicateInstance).
 func ParseVerilog(r io.Reader) (*Netlist, error) {
 	toks, err := tokenize(r)
 	if err != nil {
 		return nil, err
 	}
 	p := &vparser{toks: toks}
-	return p.module()
+	n, err := p.module()
+	if err != nil {
+		return nil, err
+	}
+	if t := p.peek(); t != "" {
+		return nil, fmt.Errorf("%w: %q (token %d)", ErrTrailingInput, t, p.pos)
+	}
+	return n, nil
 }
 
 type vparser struct {

@@ -12,7 +12,7 @@ import (
 // toolchain, platform, the GOAMD64 level it was built for, the vector-
 // kernel path chosen at start-up, the CPU features actually detected at
 // run time, and the module version. Bench hosts (and future multi-tenant
-// daemons) are distinguishable from scrapes and ledgers alone.
+// daemons) are distinguishable from metrics files and ledgers alone.
 type BuildInfo struct {
 	GoVersion   string
 	GOOS        string

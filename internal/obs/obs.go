@@ -3,8 +3,9 @@
 // histograms with zero-alloc hot-path updates and deterministic snapshot
 // order), span tracing with monotonic timestamps and explicit parent IDs
 // (exportable as Chrome trace-event JSON and as a report.Table summary),
-// the run ledger (journal.go, ledger.go), and the HTTP plumbing that
-// serves the metrics in Prometheus text format.
+// the run ledger (journal.go, ledger.go), and the Prometheus text-format
+// exporter. Every export is written to an io.Writer; the package serves
+// nothing.
 //
 // Everything hangs off a Sink, and the zero value is a no-op: a nil *Sink
 // — and every handle resolved through one — is safe to use and does

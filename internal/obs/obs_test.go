@@ -285,8 +285,8 @@ func TestTracerEventsOrdered(t *testing.T) {
 }
 
 // TestWritePrometheus checks the exposition basics a scraper depends on:
-// postopc_-prefixed sanitized names, TYPE lines, cumulative le buckets
-// ending at +Inf, and _sum/_count for histograms.
+// the build-info gauge, postopc_-prefixed sanitized names, TYPE lines,
+// cumulative le buckets ending at +Inf, and _sum/_count for histograms.
 func TestWritePrometheus(t *testing.T) {
 	sink := NewSink()
 	sink.Counter("cache.hits_total").Add(3)
@@ -302,6 +302,8 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
+		"postopc_build_info{",
+		`goamd64="`,
 		"# TYPE postopc_cache_hits_total counter",
 		"postopc_cache_hits_total 3",
 		"# TYPE postopc_par_items_per_worker gauge",

@@ -33,7 +33,7 @@ func promName(name string) string {
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format. The export opens with a constant postopc_build_info gauge
 // (the usual build-identity idiom: value 1, identity in the labels) so
-// every scrape names the toolchain, GOAMD64 level and detected CPU
+// every export names the toolchain, GOAMD64 level and detected CPU
 // features that produced the numbers.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	bi := GetBuildInfo()
