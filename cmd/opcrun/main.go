@@ -105,6 +105,8 @@ func main() {
 		st1 = opc.SummarizeEPE(epes1, 8)
 		fmt.Printf("model OPC: %d iterations, %d simulations, converged %v, %d of %d fragments found no printed edge\n",
 			res.Iterations, res.Sims, res.Converged, res.NoEdge, len(res.FinalEPE))
+		fmt.Printf("fragments: %d within 1 nm, %d clamped at the bias limit, %d pulled back by the space rule and %d still moving in the last iteration\n",
+			res.Within, res.Clamped, res.PulledBack, res.Moving)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}

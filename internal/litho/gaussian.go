@@ -3,6 +3,7 @@ package litho
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"postopc/internal/dsp/vek"
 	"postopc/internal/geom"
@@ -83,51 +84,80 @@ func (g *Gaussian) SigmaAt(defocusNM float64) float64 {
 	return math.Sqrt(sigma0*sigma0 + blur*blur)
 }
 
-// Aerial implements Model. The image comes from the free list that
-// RecycleImage fills, so a caller that hands each image back images
-// without allocating.
+// Aerial implements Model: AerialWithin at every pixel. The image comes
+// from the free list that RecycleImage fills, so a caller that hands each
+// image back images without allocating.
 func (g *Gaussian) Aerial(mask *geom.Raster, c Corner) (*Image, error) {
+	return g.AerialWithin(mask, c, nil)
+}
+
+// AerialWithin is Aerial computed only at the pixels fp selects, which
+// must be laid out on mask's grid (ErrFootprintGrid otherwise); a nil fp
+// selects every pixel. Each selected pixel has the bits Aerial gives it.
+// Every other pixel holds an unspecified value, possibly NaN, so the
+// caller must read the image only inside fp; Image.Sample at a position
+// reads the pixels Footprint.CoverSamples adds for it. The image comes
+// from the free list that RecycleImage fills.
+func (g *Gaussian) AerialWithin(mask *geom.Raster, c Corner, fp *Footprint) (*Image, error) {
 	if mask.Nx == 0 || mask.Ny == 0 {
 		return nil, ErrEmptyMask
+	}
+	if fp != nil && !fp.on(mask) {
+		return nil, ErrFootprintGrid
 	}
 	t0 := g.hAerial.StartTimer()
 	ks := borrowKernelScratch()
 	ks.markRepeats(mask)
 	out := borrowImage(mask)
-	g.aerial(out, mask, c, ks)
+	g.aerial(out, mask, c, fp, ks)
 	ks.release()
 	g.hAerial.ObserveSince(t0)
 	return out, nil
 }
 
 // aerial images the non-empty mask at corner c into out, an image aligned
-// with mask whose Data it overwrites in full, so out's prior contents do
-// not matter. It works on the kernel scratch ks, whose repeat runs must
-// already describe mask (see markRepeats).
-func (g *Gaussian) aerial(out *Image, mask *geom.Raster, c Corner, ks *kernelScratch) {
+// with mask, at the pixels of fp (every pixel when fp is nil). It
+// overwrites those pixels and the background, so their prior contents do
+// not matter, and leaves the others as they were. It works on the kernel
+// scratch ks, whose repeat runs must already describe mask (see
+// markRepeats).
+func (g *Gaussian) aerial(out *Image, mask *geom.Raster, c Corner, fp *Footprint, ks *kernelScratch) {
 	r := g.recipe
 	px := float64(mask.Pixel)
+	nx := mask.Nx
 	// Defocus broadens both kernel components in quadrature.
 	blur := 0.30 * math.Abs(c.DefocusNM) * r.NA
 	s1 := math.Sqrt(sq(g.SigmaAt(0)) + blur*blur)
-	ks.field = growFloats(ks.field, mask.Nx*mask.Ny)
+	ks.field = growFloats(ks.field, nx*mask.Ny)
 	field := ks.field
-	out.Background = blurAmplitude(field, mask, r.Polarity, s1, px, ks)
+	out.Background = blurAmplitude(field, mask, r.Polarity, s1, px, fp, ks)
+	full := [1]Span{{0, nx}}
 	if g.weight2 == 0 {
-		for i, v := range field {
-			out.Data[i] = v * v // intensity = amplitude²
+		for iy := 0; iy < mask.Ny; iy++ {
+			for _, s := range fp.spansOf(iy, full[:]) {
+				amp := field[iy*nx+s.X0 : iy*nx+s.X1]
+				dst := out.Data[iy*nx+s.X0 : iy*nx+s.X1]
+				for i, v := range amp {
+					dst[i] = v * v // intensity = amplitude²
+				}
+			}
 		}
 		return
 	}
 	// The broad component is blurred straight into the returned image's
 	// buffer and combined with the narrow one in place.
 	s2 := math.Sqrt(sq(g.sigma2NM) + blur*blur)
-	wide := out.Data
-	blurAmplitude(wide, mask, r.Polarity, s2, px, ks)
+	blurAmplitude(out.Data, mask, r.Polarity, s2, px, fp, ks)
 	w := g.weight2
-	for i, v := range field {
-		a := (1-w)*v + w*wide[i]
-		wide[i] = a * a // intensity = amplitude²
+	for iy := 0; iy < mask.Ny; iy++ {
+		for _, s := range fp.spansOf(iy, full[:]) {
+			amp := field[iy*nx+s.X0 : iy*nx+s.X1]
+			wide := out.Data[iy*nx+s.X0 : iy*nx+s.X1]
+			for i, v := range amp {
+				a := (1-w)*v + w*wide[i]
+				wide[i] = a * a // intensity = amplitude²
+			}
+		}
 	}
 }
 
@@ -167,16 +197,18 @@ func sameBits(a, b []float64) bool {
 // given sigma, extending edges with the background level, which it
 // returns (1 in clear field, 0 in dark field). The kernel is truncated at
 // 3σ and normalized to unit sum so a uniform field is preserved exactly.
-// dst must have Nx*Ny elements; its prior contents are ignored. Work
-// buffers come from ks, and ks.rep must hold mask's repeat runs
-// (markRepeats).
+// dst must have Nx*Ny elements. The blur writes the pixels of fp (every
+// pixel when fp is nil) and leaves the others as they were; it never
+// reads dst's prior contents. Work buffers come from ks, and ks.rep must
+// hold mask's repeat runs (markRepeats).
 //
 // Both passes add the taps of every output pixel in ascending order,
 // starting from +0, with no FMA, on every vek kernel path, so the images
-// are bit-identical whichever path runs (TestGaussianAerialGoldenSHA).
+// are bit-identical whichever path runs (TestGaussianAerialGoldenSHA),
+// and a pixel has the same bits whatever footprint selects it.
 // A row whose inputs have the same bits as the previous row's is copied
 // instead of summed, which gives the same bits.
-func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px float64, ks *kernelScratch) float64 {
+func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px float64, fp *Footprint, ks *kernelScratch) float64 {
 	bg := 1.0
 	if pol == DarkField {
 		bg = 0
@@ -236,20 +268,35 @@ func blurAmplitude(dst []float64, mask *geom.Raster, pol Polarity, sigma, px flo
 		}
 		vek.ConvRow(row, pad, kern)
 	}
-	// Vertical pass: one column convolution per output row, whose
-	// accumulators stay in registers across all 2·half+1 taps. Output row
-	// iy reads tmp rows iy … iy+2·half, which hold mask rows iy−half …
-	// iy+half. When mask rows iy−half−1 … iy+half are one repeated row,
-	// rows iy−1 and iy read the same values at every tap, so row iy−1 is
-	// copied.
+	// Vertical pass: one column convolution per span of an output row
+	// (the whole row when fp is nil), whose accumulators stay in registers
+	// across all 2·half+1 taps. Output row iy reads tmp rows iy …
+	// iy+2·half, which hold mask rows iy−half … iy+half. When mask rows
+	// iy−half−1 … iy+half are one repeated row, rows iy−1 and iy read the
+	// same values at every tap, so row iy−1's spans are copied, provided
+	// row iy−1 computed the same spans.
 	flat := int32(2*half + 1)
+	full := [1]Span{{0, nx}}
 	for iy := 0; iy < ny; iy++ {
 		out := dst[iy*nx : (iy+1)*nx]
-		if iy+half < ny && rep[iy+half] >= flat {
-			copy(out, dst[(iy-1)*nx:])
+		spans := fp.spansOf(iy, full[:])
+		if iy+half < ny && rep[iy+half] >= flat && slices.Equal(spans, fp.spansOf(iy-1, full[:])) {
+			above := dst[(iy-1)*nx : iy*nx]
+			for _, s := range spans {
+				copy(out[s.X0:s.X1], above[s.X0:s.X1])
+			}
 			continue
 		}
-		vek.ConvCol(out, tmp[iy*stride:], stride, kern)
+		for _, s := range spans {
+			if s.X1-s.X0 < 4 && nx >= 4 {
+				// A 4-wide block is one vector of the AVX2 kernel and
+				// costs less than the Go loop over 1–3 columns; the
+				// columns it adds come out with their own bits.
+				s.X0 = min(s.X0, nx-4)
+				s.X1 = s.X0 + 4
+			}
+			vek.ConvCol(out[s.X0:s.X1], tmp[iy*stride+s.X0:], stride, kern)
+		}
 	}
 	return bg
 }
@@ -288,7 +335,7 @@ func (g *Gaussian) series(mask *geom.Raster, corners []Corner, ks *kernelScratch
 			continue
 		}
 		out[ci] = NewImage(mask)
-		g.aerial(out[ci], mask, c, ks)
+		g.aerial(out[ci], mask, c, nil, ks)
 	}
 	return out
 }

@@ -61,18 +61,26 @@ func (im *Image) Bounds() geom.Rect {
 // Sample returns the bilinearly interpolated intensity at layout position
 // (x, y) in nm.
 func (im *Image) Sample(x, y float64) float64 {
-	// Convert to pixel-center coordinates.
-	fx := (x-float64(im.Origin.X))/float64(im.Pixel) - 0.5
-	fy := (y-float64(im.Origin.Y))/float64(im.Pixel) - 0.5
-	ix := int(math.Floor(fx))
-	iy := int(math.Floor(fy))
-	tx := fx - float64(ix)
-	ty := fy - float64(iy)
+	ix, iy, tx, ty := sampleCell(im.Origin, im.Pixel, x, y)
 	v00 := im.At(ix, iy)
 	v10 := im.At(ix+1, iy)
 	v01 := im.At(ix, iy+1)
 	v11 := im.At(ix+1, iy+1)
 	return v00*(1-tx)*(1-ty) + v10*tx*(1-ty) + v01*(1-tx)*ty + v11*tx*ty
+}
+
+// sampleCell locates layout position (x, y) on the pixel grid of the given
+// origin and pitch for Sample: (ix, iy) is the lower-left pixel of the 2×2
+// block whose centers surround the position, and tx, ty are the weights of
+// the block's right column and top row. Footprint.CoverSamples relies on
+// ix and iy never decreasing as x and y grow.
+func sampleCell(origin geom.Point, pixel geom.Coord, x, y float64) (ix, iy int, tx, ty float64) {
+	// Convert to pixel-center coordinates.
+	fx := (x-float64(origin.X))/float64(pixel) - 0.5
+	fy := (y-float64(origin.Y))/float64(pixel) - 0.5
+	ix = int(math.Floor(fx))
+	iy = int(math.Floor(fy))
+	return ix, iy, fx - float64(ix), fy - float64(iy)
 }
 
 // MinMax returns the extreme intensities of the image.

@@ -19,13 +19,15 @@ import (
 //
 // Lifetime rules: a kernelScratch (and every slice grown from it) is owned
 // by exactly one Aerial/AerialSeries call between borrow and release, and
-// nothing of it escapes into a returned value. The caller of Aerial owns
-// the returned Image: it may keep it, or hand it to RecycleImage once it
-// has read it, after which the fast model may hand it out again. Images
-// returned by AerialSeries and AerialBatch alias across dose corners and
-// are never recycled. Borrowed buffers come back with unspecified
-// contents; every consumer fully overwrites or zeroes before reading,
-// which also keeps results independent of pool history.
+// nothing of it escapes into a returned value. The caller of Aerial (or
+// the fast model's AerialWithin) owns the returned Image: it may keep it,
+// or hand it to RecycleImage once it has read it, after which the fast
+// model may hand it out again. Images returned by AerialSeries and
+// AerialBatch alias across dose corners and are never recycled. Borrowed
+// buffers come back with unspecified contents; every consumer fully
+// overwrites or zeroes before reading what it reads, which also keeps
+// results independent of pool history. An AerialWithin image keeps those
+// contents outside its footprint, where its caller never reads.
 
 // poolCounters are the telemetry handles of the package-level scratch
 // pools: borrow/return counters whose difference is the number of buffers
@@ -125,8 +127,8 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// imageFree is the free list of the images the fast model's Aerial
-// returns (see RecycleImage). Like kernelScratchFree it keeps what it holds
+// imageFree is the free list of the images the fast model's Aerial and
+// AerialWithin return (see RecycleImage). Like kernelScratchFree it keeps what it holds
 // across garbage collections and allocates only when it is empty; an OPC
 // loop hands each image back before it images the next mask, so the list
 // holds about one image per goroutine running OPC. The pool counters do
@@ -165,8 +167,8 @@ func borrowImage(mask *geom.Raster) *Image {
 	return im
 }
 
-// RecycleImage hands an image returned by a Model's Aerial back to the
-// fast model's free list: the image counterpart of RecycleRaster. The
+// RecycleImage hands an image returned by a Model's Aerial, or by the
+// fast model's AerialWithin, back to the fast model's free list: the image counterpart of RecycleRaster. The
 // caller must not use im (or aliases of its Data) afterwards. Never pass
 // an image from AerialSeries or AerialBatch, which may alias it at other
 // corners. Safe to call with nil.

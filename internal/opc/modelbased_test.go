@@ -94,6 +94,83 @@ func TestModelBasedConverged(t *testing.T) {
 	}
 }
 
+// The fragment classes count what the last iteration and the final pass
+// left. A lone line has no neighbour to pull its fragments back, so
+// Moving is the number of biases that one more iteration changes, and
+// Within and Clamped match FinalEPE and the final biases: a 130 nm line
+// after 8 iterations, with some fragments moving and some within 1 nm,
+// and a 20 nm line after 5, whose fragments at the bias clamp still push
+// outward, a move the clamp cancels, so they do not count as moving. Two
+// lines too thin to print, 130 nm apart, each push every fragment out by
+// 12 nm in their first iteration, which leaves 106 nm between the facing
+// edges, so the space rule pulls back exactly the fragments of those two
+// edges.
+func TestModelBasedFragmentClasses(t *testing.T) {
+	m := gaussModel(t)
+	var shown [3]bool // some moving, some within, some clamped, each short of all
+	for _, tc := range []struct {
+		width geom.Coord
+		iters int
+	}{{130, 8}, {20, 5}} {
+		line := []geom.Polygon{geom.R(-tc.width/2, -400, tc.width/2, 400).Polygon()}
+		opt := DefaultOptions()
+		opt.Iterations = tc.iters - 1
+		prev, err := ModelBased(m, line, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Iterations = tc.iters
+		res, err := ModelBased(m, line, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moved, within, clamped int
+		for i, f := range res.Fragmented[0].Frags {
+			if f.Bias != prev.Fragmented[0].Frags[i].Bias {
+				moved++
+			}
+			if f.Bias == maxBiasNM || f.Bias == -maxBiasNM {
+				clamped++
+			}
+		}
+		for _, e := range res.FinalEPE {
+			if math.Abs(e) < 1 {
+				within++
+			}
+		}
+		if res.Moving != moved || res.PulledBack != 0 || res.Within != within || res.Clamped != clamped {
+			t.Fatalf("%d nm line: moving %d, pulled back %d, within %d, clamped %d; want %d, 0, %d, %d",
+				tc.width, res.Moving, res.PulledBack, res.Within, res.Clamped, moved, within, clamped)
+		}
+		n := len(res.FinalEPE)
+		for k, c := range []int{moved, within, clamped} {
+			shown[k] = shown[k] || c > 0 && c < n
+		}
+	}
+	if shown != [3]bool{true, true, true} {
+		t.Fatalf("partial moving, within and clamped counts shown: %v; the cases show too little", shown)
+	}
+	pair := []geom.Polygon{geom.R(-10, -400, 10, 400).Polygon(), geom.R(140, -400, 160, 400).Polygon()}
+	opt := DefaultOptions()
+	opt.Iterations = 1
+	res, err := ModelBased(m, pair, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facing := 0
+	for i, fp := range res.Fragmented {
+		for _, f := range fp.Frags {
+			if f.Normal == geom.Pt(1-2*geom.Coord(i), 0) {
+				facing++
+			}
+		}
+	}
+	if n := len(res.FinalEPE); res.Moving != n || res.PulledBack != facing || res.Clamped != 0 {
+		t.Fatalf("thin pair: moving %d, pulled back %d, clamped %d of %d fragments; want all, the %d facing ones, 0",
+			res.Moving, res.PulledBack, res.Clamped, n, facing)
+	}
+}
+
 // The OPC loop hands its rasters and images back, so what a ModelBased
 // call allocates does not grow with its iterations: on a warm pool, each
 // iteration past the fourth adds less than a quarter of one image's Data

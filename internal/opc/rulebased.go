@@ -79,13 +79,31 @@ func BuildRuleTable(m litho.Model, widthNM geom.Coord, spacesNM []geom.Coord) (*
 
 // Clearance measures the outward distance from a fragment's control point
 // to the nearest other drawn feature, walking the outward normal in fixed
-// steps up to maxNM. Features are supplied as a merged Region (all drawn
-// polygons of the layer in the window).
+// steps up to maxNM. Features are supplied as a Region (all drawn polygons
+// of the layer in the window); its rectangles may overlap. Each probe point
+// is tested only against the rectangles that meet the probe segment's
+// bounding box, since no other rectangle can contain a probe point.
 func Clearance(f *Fragment, all geom.Region, maxNM geom.Coord) geom.Coord {
 	const step = 10
+	if maxNM < step {
+		return maxNM
+	}
+	a := f.Control.Add(f.Normal.Scale(step))
+	b := f.Control.Add(f.Normal.Scale(maxNM - maxNM%step))
+	x0, x1 := min(a.X, b.X), max(a.X, b.X)
+	y0, y1 := min(a.Y, b.Y), max(a.Y, b.Y)
+	var buf [8]geom.Rect
+	near := geom.Region(buf[:0])
+	for _, r := range all {
+		// Rectangles are half-open: r holds p iff X0 ≤ p.X < X1 and
+		// Y0 ≤ p.Y < Y1.
+		if r.X0 <= x1 && x0 < r.X1 && r.Y0 <= y1 && y0 < r.Y1 {
+			near = append(near, r)
+		}
+	}
 	for d := geom.Coord(step); d <= maxNM; d += step {
 		p := f.Control.Add(f.Normal.Scale(d))
-		if all.Contains(p) {
+		if near.Contains(p) {
 			return d
 		}
 	}

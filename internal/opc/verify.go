@@ -51,7 +51,7 @@ func NewHistogram(values []float64, lo, hi float64, n int) Histogram {
 // geometry. Tolerance sets the violation threshold (nm).
 func Verify(m litho.Model, corrected, context []geom.Polygon, targets []*FragmentedPolygon,
 	c litho.Corner, tolerance float64) ([]float64, EPEStats, error) {
-	im, err := simulate(m, append(append([]geom.Polygon{}, corrected...), context...), c)
+	im, err := simulate(m, append(append([]geom.Polygon{}, corrected...), context...), c, targets)
 	if err != nil {
 		return nil, EPEStats{}, err
 	}
