@@ -105,7 +105,7 @@ bench-throughput:
 bench-diff:
 	$(GO) build -o bin/postopc-sta ./cmd/postopc-sta
 	$(GO) build -o bin/postopc-report ./cmd/postopc-report
-	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -batch 3 -ledger bench-base.ledger > /dev/null
-	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -batch 3 -ledger bench-cur.ledger > /dev/null
+	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -ledger bench-base.ledger > /dev/null
+	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -ledger bench-cur.ledger > /dev/null
 	./bin/postopc-report summary bench-cur.ledger
 	./bin/postopc-report diff -threshold 400 -min-ns 100000 bench-base.ledger bench-cur.ledger

@@ -5,15 +5,13 @@
 //
 //	opcrun -width 90 -pitch 340 -mode model
 //	opcrun -width 90 -pitch 0 -mode rule -model gauss
-//	opcrun -width 90 -batch 64 -ledger run.ledger
+//	opcrun -width 90 -model abbe -ledger run.ledger
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-
-	"time"
 
 	"postopc/internal/cli"
 	"postopc/internal/geom"
@@ -31,7 +29,6 @@ func main() {
 	mode := flag.String("mode", "model", "correction: rule | model")
 	model := flag.String("model", "gauss", "imaging model: abbe | gauss")
 	iters := flag.Int("iters", 8, "model-based OPC iterations")
-	batch := flag.Int("batch", 0, "after correction, image the mask N times through the batched aerial path and report windows/sec vs per-window (0 = skip)")
 	tel := cli.Telemetry("opcrun")
 	flag.Parse()
 	tel.Start()
@@ -133,53 +130,7 @@ func main() {
 	}
 	fmt.Printf("mask vertices: %d drawn -> %d corrected\n", v0, v1)
 
-	if *batch > 1 {
-		if err := batchSmoke(m, corrected, la, *batch); err != nil {
-			fatal(err)
-		}
-	}
 	tel.Close()
-}
-
-// batchSmoke images the corrected mask batch-many times through the model's
-// batched aerial entry point and again per-window, reporting both rates.
-// The results are bit-identical by the BatchModel contract; this smoke
-// shows the amortization (FFT plan, filter bank, scratch) on a controlled
-// pattern.
-func batchSmoke(m litho.Model, corrected []geom.Polygon, la litho.LineArray, batch int) error {
-	bm, ok := m.(litho.BatchModel)
-	if !ok {
-		return fmt.Errorf("model has no batched imaging path")
-	}
-	recipe := m.Recipe()
-	rs := la.Rects()
-	win := rs[0]
-	for _, r := range rs[1:] {
-		win = win.Union(r)
-	}
-	raster := litho.RasterizeInWindow(corrected, win.Expand(recipe.GuardNM), recipe.PixelNM)
-	defer litho.RecycleRaster(raster)
-	masks := make([]*geom.Raster, batch)
-	for i := range masks {
-		masks[i] = raster
-	}
-	corners := []litho.Corner{litho.Nominal}
-	t0 := time.Now()
-	if _, err := bm.AerialBatch(masks, corners); err != nil {
-		return err
-	}
-	dBatch := time.Since(t0)
-	t0 = time.Now()
-	for i := 0; i < batch; i++ {
-		if _, err := m.AerialSeries(raster, corners); err != nil {
-			return err
-		}
-	}
-	dSingle := time.Since(t0)
-	rate := func(d time.Duration) float64 { return float64(batch) / d.Seconds() }
-	fmt.Printf("batched imaging: %d windows in %v (%.1f windows/sec) vs per-window %v (%.1f windows/sec)\n",
-		batch, dBatch, rate(dBatch), dSingle, rate(dSingle))
-	return nil
 }
 
 func fragmentAll(polys []geom.Polygon) []*opc.FragmentedPolygon {

@@ -46,7 +46,6 @@ func main() {
 	wires := flag.Bool("wires", false, "use placement-derived (HPWL) wire loads instead of flat per-fanout caps")
 	libOut := flag.String("lib", "", "export a Liberty-flavored .lib of the drawn library to this file")
 	jobs := flag.Int("j", 0, "worker goroutines for extraction, ORC and Monte Carlo (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
-	batch := flag.Int("batch", 0, "image extraction and ORC windows in batches of N (0/1 = one window per batch); results are identical for any value")
 	useCache := flag.Bool("cache", false, "recall repeated layout contexts from the content-addressed pattern cache; results are byte-identical with and without it")
 	cacheSize := flag.Int("cache-size", 0, "pattern cache capacity in artifacts (0 = default); implies -cache")
 	tel := cli.Telemetry("postopc-sta")
@@ -110,7 +109,6 @@ func main() {
 		Corners: flow.VariationCorners(p.Window),
 		TagTopK: *topk,
 		Workers: *jobs,
-		Batch:   *batch,
 	})
 	if err != nil {
 		fatal(err)
@@ -208,7 +206,7 @@ func main() {
 	}
 
 	if *orc {
-		rep, err := f.VerifyChip(res.Place.Chip, flow.ORCOptions{Mode: opcMode, Workers: *jobs, Batch: *batch})
+		rep, err := f.VerifyChip(res.Place.Chip, flow.ORCOptions{Mode: opcMode, Workers: *jobs})
 		if err != nil {
 			fatal(err)
 		}

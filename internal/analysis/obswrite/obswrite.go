@@ -15,10 +15,10 @@
 // The analyzer flags, outside package main and the obs package itself:
 // calls to the obs read API (Counter.Value, Gauge.Value,
 // Registry.Snapshot, Tracer.Events, Tracer.SummaryTable,
-// Tracer.WriteChromeTrace, WritePrometheus, plus the run-ledger
-// and flight-recorder read half — WriteLedger, ReadLedger, SummaryTables,
-// Flight.Recent, Flight.Dump) and comparisons of span identifiers
-// (branching on trace topology is reading it).
+// Tracer.WriteChromeTrace, WritePrometheus, plus the run-ledger read half
+// — WriteLedger, ReadLedger, SummaryTables — and the crash dump,
+// Tracer.Dump) and comparisons of span identifiers (branching on trace
+// topology is reading it).
 package obswrite
 
 import (
@@ -53,7 +53,6 @@ var readAPI = map[string]bool{
 	"WritePrometheus":  true,
 	"WriteLedger":      true,
 	"ReadLedger":       true,
-	"Recent":           true,
 	"Dump":             true,
 }
 

@@ -38,7 +38,8 @@ type Stats struct {
 	Entries int
 }
 
-// Lookups returns the total number of Do calls observed.
+// Lookups returns the total number of lookups observed: Reserve calls,
+// which the flow's window path makes, including the one inside each Do.
 func (s Stats) Lookups() uint64 { return s.Hits + s.Misses + s.Waits }
 
 // HitRate returns the fraction of lookups that avoided a computation

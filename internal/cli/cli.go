@@ -17,22 +17,27 @@ import (
 	"postopc/internal/obs"
 )
 
-// flightRing, when set by TelemetryFlags.Start, is dumped to stderr on
-// every fatal exit (and on SIGQUIT, see sigquit_unix.go): the last spans
-// before the crash, straight from the lock-free ring.
-var flightRing *obs.Flight
+// crashTrace, when set by TelemetryFlags.Start (-ledger), is the tracer
+// whose last crashSpans spans dumpSpans writes to stderr on every fatal
+// exit and on SIGQUIT (see sigquit_unix.go).
+var crashTrace *obs.Tracer
+
+const crashSpans = 512
+
+// dumpSpans writes the tail of the span trace that led into a failure or
+// a hang; it writes nothing unless -ledger armed crashTrace.
+func dumpSpans() {
+	crashTrace.Dump(os.Stderr, crashSpans) //postopc:nolint:obswrite crash path: the dump IS the export boundary
+}
 
 // Fatal prints "tool: err" to stderr and exits with status 1. Every cmd/
 // binary funnels its fatal paths through this so diagnostics are uniform
 // across the tool set. A running CPU profile (-cpuprofile) is stopped
-// first, so a failed run still leaves a readable profile. When a flight
-// recorder is live (-ledger), its ring is dumped — the tail of the span
-// trace that led to the failure.
+// first, so a failed run still leaves a readable profile. On -ledger runs
+// the last spans are dumped first (dumpSpans).
 func Fatal(tool string, err error) {
 	pprof.StopCPUProfile()
-	if flightRing != nil {
-		flightRing.Dump(os.Stderr) //postopc:nolint:obswrite crash path: the dump IS the export boundary
-	}
+	dumpSpans()
 	fmt.Fprintln(os.Stderr, tool+":", err)
 	os.Exit(1)
 }
@@ -80,8 +85,8 @@ func Telemetry(tool string) *TelemetryFlags {
 
 // Start begins the CPU profile for -cpuprofile, then creates the sink
 // when -metrics, -trace or -ledger was given. -ledger additionally
-// attaches the run journal and a flight-recorder ring (dumped on fatal
-// exits and SIGQUIT) and stamps the run manifest. A profile file that
+// attaches the run journal, stamps the run manifest and arms the dump of
+// the last spans on fatal exits and SIGQUIT. A profile file that
 // cannot be created is fatal: asking for telemetry and silently not
 // getting it would be worse than stopping.
 func (t *TelemetryFlags) Start() {
@@ -101,7 +106,7 @@ func (t *TelemetryFlags) Start() {
 	}
 	t.Sink = obs.NewSink()
 	if t.ledger != "" {
-		t.Sink.WithJournal(0).WithFlightRecorder(512)
+		t.Sink.WithJournal(0)
 		bi := obs.GetBuildInfo()
 		t.Sink.Journal.SetManifest(obs.Manifest{
 			Tool:        t.tool,
@@ -116,7 +121,7 @@ func (t *TelemetryFlags) Start() {
 			CPUFeatures: bi.CPUFeatures,
 			Module:      bi.Module,
 		})
-		flightRing = t.Sink.Flight
+		crashTrace = t.Sink.Trace
 		installQuitDump()
 	}
 }

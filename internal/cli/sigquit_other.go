@@ -3,5 +3,5 @@
 package cli
 
 // installQuitDump is a no-op where SIGQUIT does not exist; fatal exits
-// still dump the flight ring via Fatal.
+// still dump the last spans via Fatal.
 func installQuitDump() {}

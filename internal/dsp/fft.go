@@ -2,9 +2,8 @@
 // lithography simulator: an in-place radix-2 2-D complex FFT with cached
 // twiddle-factor and bit-reversal tables over FGrid, the structure-of-arrays
 // complex grid the vek kernels work on, the band-pruned transforms of the
-// Abbe imaging path, a batched band-selected forward transform over many
-// same-size grids (BatchPlan), and pooled FGrid scratch for the imaging hot
-// path. Everything is stdlib-only.
+// Abbe imaging path, and pooled FGrid scratch for the imaging hot path.
+// Everything is stdlib-only.
 //
 // The band-limited inverse (FGrid.IFFT2DBandLimited) computes only the
 // pixels its caller keeps: the row pass on the spectrum's support rows, the

@@ -281,9 +281,9 @@ func TestBorrowGridReuse(t *testing.T) {
 }
 
 // The pool keeps returned grids across garbage collections and hands them
-// out again: the grids of a 16-mask Abbe batch (one transmission grid per
-// mask plus the work grid), borrowed at once and returned, come back
-// after two collections without a new allocation.
+// out again: 17 grids borrowed at once (more than any number of imaging
+// workers holds) and returned come back after two collections without a
+// new allocation.
 func TestBorrowGridSurvivesGC(t *testing.T) {
 	const peak = 17
 	var first [peak]*FGrid

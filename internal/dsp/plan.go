@@ -156,9 +156,8 @@ func fftColumnsBlockedPlanes(re, im []float64, nx, cols int, p *plan, inverse bo
 // fftColumnsBlockPlanes runs the butterflies of columns [c0, c0+cw) — one
 // block of fftColumnsBlockedPlanes, one vek.ButterflyGroup call per
 // (stage, start) group. Columns are independent, so executing blocks in
-// any order (or interleaved across several grids, as BatchPlan does)
-// leaves every column's float sequence — and therefore its result —
-// unchanged.
+// any order leaves every column's float sequence — and therefore its
+// result — unchanged.
 //
 // With a nil live every swap and group runs. Otherwise live describes
 // which rows may be nonzero (supportLiveness), every other row must hold

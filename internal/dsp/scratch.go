@@ -11,8 +11,7 @@ import "sync"
 // The pool is a free list, safe for concurrent use (extraction and ORC
 // workers share it). It allocates a grid only when every grid it has made
 // is out, so it grows to the largest number of grids ever borrowed at
-// once (two per imaging worker, or one per mask plus one for a batch) and
-// never holds more. It keeps them across garbage collections: a sync.Pool
+// once (two per imaging worker) and never holds more. It keeps them across garbage collections: a sync.Pool
 // drops every grid that sat idle through two of them, and an imaging
 // worker spends whole GC cycles in OPC between two windows, so it would
 // reallocate its grids (4 MB each at 512×512) every few windows. A

@@ -75,7 +75,7 @@ type RunOptions struct {
 	// Workers bounds extraction concurrency (0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Batch is the number of windows per batch of extraction (see
-	// ExtractOptions.Batch).
+	// ExtractOptions.Batch); no tool sets it.
 	Batch int
 }
 

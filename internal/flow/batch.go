@@ -221,11 +221,14 @@ func (r *windowRun[A]) batch(w, b int) error {
 }
 
 // stageImageBatch rasterizes and images a set of masks, routing them
-// through the verification model's batch entry point when it has one.
+// through the verification model's batch entry point when it has one (only
+// the fast model does); any other model images each mask on its own.
 // When the batch call fails, every mask is imaged again on its own, so
-// each window keeps its own error; the fallback is counted in
-// flow.image_batch_fallbacks_total. Rasters are pooled scratch and are
-// recycled before returning, whatever the outcome.
+// each window keeps its own error at every batch size; the fallback is
+// counted in flow.image_batch_fallbacks_total. The fast model's batch
+// fails only on an empty raster, which RasterizeInWindow never makes, so
+// only a test model reaches the fallback. Rasters are pooled scratch and
+// are recycled before returning, whatever the outcome.
 func stageImageBatch(env *stageEnv, masks [][]geom.Polygon, bounds []geom.Rect, corners []litho.Corner) ([][]*litho.Image, []error) {
 	n := len(masks)
 	imgs := make([][]*litho.Image, n)

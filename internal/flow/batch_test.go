@@ -21,6 +21,7 @@ import (
 	"postopc/internal/litho"
 	"postopc/internal/netlist"
 	"postopc/internal/obs"
+	"postopc/internal/pdk"
 	"postopc/internal/place"
 )
 
@@ -34,6 +35,10 @@ const (
 	// goldenORCSHA pins VerifyChip of InverterChain(4) under an overdose
 	// corner and nominal, no OPC, 3000nm tiles (overdosedORCOptions).
 	goldenORCSHA = "5a4b11015d4f353875871e8f3c8f41306ac9cc1ddb4d2fb433ad329b4fb37c26"
+	// goldenAbbeExtractSHA pins ExtractGates of InverterChain(4), model
+	// OPC, the four VariationCorners, Abbe verify model; recorded while
+	// the Abbe model still imaged a batch in one call.
+	goldenAbbeExtractSHA = "9b955379731507454f8647cb0bc54fe38d23809aefa6e6cf14e43d7700df3014"
 )
 
 // renderExtractions serializes ExtractGates output by gate name; %v
@@ -136,6 +141,36 @@ func TestVerifyChipBatchedMatchesPerTile(t *testing.T) {
 					t.Fatalf("cached=%v workers=%d batch=%d: ORC SHA-256 = %s, want %s\n%s",
 						cached, w, size, sum, goldenORCSHA, renderORC(got))
 				}
+			}
+		}
+	}
+}
+
+// TestExtractGatesAbbeBatchedMatchesGolden pins extraction through the
+// Abbe verify model, which images each window on its own, at batch sizes
+// that put one window and several windows in a batch.
+func TestExtractGatesAbbeBatchedMatchesGolden(t *testing.T) {
+	f, err := New(pdk.N90(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := f.Place(netlist.InverterChain(4), place.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		for _, size := range []int{0, 3} {
+			opt := ExtractOptions{Mode: OPCModel, Corners: VariationCorners(f.PDK.Window), Workers: w, Batch: size}
+			got, err := f.ExtractGates(pl.Chip, nil, opt)
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d: %v", w, size, err)
+			}
+			if len(got) <= size {
+				t.Fatalf("fixture too small: %d windows never fill a batch of %d", len(got), size)
+			}
+			if sum := sha256Hex(renderExtractions(got)); sum != goldenAbbeExtractSHA {
+				t.Fatalf("workers=%d batch=%d: extraction SHA-256 = %s, want %s",
+					w, size, sum, goldenAbbeExtractSHA)
 			}
 		}
 	}

@@ -69,10 +69,12 @@ type ExtractOptions struct {
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Batch is the number of windows per batch on the window path
-	// (batch.go; <= 1 means one). A batch images its windows in one
-	// litho.BatchModel call, amortizing FFT plans and scratch across them.
-	// Like Workers, Batch is a scheduling knob: results are byte-identical
-	// at every value, and it never enters cache signatures.
+	// (batch.go; <= 1 means one). A batch images its windows in one call
+	// only when the verification model implements litho.BatchModel, as the
+	// fast model does; the Abbe model images each window on its own. No
+	// tool sets it; benchmarks and tests do. Like Workers, Batch is a
+	// scheduling knob: results are byte-identical at every value, and it
+	// never enters cache signatures.
 	Batch int
 }
 

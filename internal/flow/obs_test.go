@@ -49,9 +49,8 @@ func TestRunObsDeterminism(t *testing.T) {
 		}
 	}
 
-	// The run-ledger extension of the same contract: a journal + flight
-	// recorder must not perturb a bit either, across the worker × batch ×
-	// cache grid.
+	// The run-ledger extension of the same contract: a journal must not
+	// perturb a bit either, across the worker × batch × cache grid.
 	for _, cached := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			for _, batch := range []int{0, 3} {
@@ -59,7 +58,7 @@ func TestRunObsDeterminism(t *testing.T) {
 				if cached {
 					f.EnableCache(0)
 				}
-				sink := obs.NewSink().WithJournal(0).WithFlightRecorder(64)
+				sink := obs.NewSink().WithJournal(0)
 				f.EnableObs(sink)
 				o := opts(workers)
 				o.Batch = batch
@@ -83,7 +82,7 @@ func TestRunObsDeterminism(t *testing.T) {
 // percentile lines.
 func TestRunLedgerCoverage(t *testing.T) {
 	f := newFastFlow(t).EnableCache(0)
-	sink := obs.NewSink().WithJournal(3).WithFlightRecorder(64)
+	sink := obs.NewSink().WithJournal(3)
 	f.EnableObs(sink)
 	res, err := f.Run(netlist.InverterChain(8), RunOptions{
 		STA:     sta.DefaultConfig(1500),

@@ -90,10 +90,10 @@ type ORCOptions struct {
 	// The report is identical for every worker count: tiles are merged in
 	// row-major order before hotspots are sorted.
 	Workers int
-	// Batch is the number of tiles per batch on the window path
-	// (batch.go; <= 1 means one). Like Workers, Batch is a scheduling
-	// knob: the report is byte-identical at every value, and it never
-	// enters cache signatures.
+	// Batch is the number of tiles per batch on the window path, as
+	// ExtractOptions.Batch is for gate windows. Like Workers, Batch is a
+	// scheduling knob: the report is byte-identical at every value, and it
+	// never enters cache signatures.
 	Batch int
 }
 

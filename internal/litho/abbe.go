@@ -149,7 +149,19 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 	ny := dsp.NextPow2(mask.Ny)
 	px := float64(mask.Pixel)
 
-	sets, spectrumRows := a.resolveSets(nx, ny, px, corners)
+	// Fetch the filter set of every unique corner defocus up front, so the
+	// forward transform knows which spectrum rows the filters will read.
+	// sets[ci] stays nil where an earlier corner shares the defocus (the
+	// image is aliased there).
+	sets := make([]*filterSet, len(corners))
+	var spectrumRows []int
+	for ci, c := range corners {
+		if doseAlias(corners, ci) != ci {
+			continue
+		}
+		sets[ci] = a.filtersFor(nx, ny, px, c.DefocusNM)
+		spectrumRows = mergeRows(spectrumRows, sets[ci].unionRows)
+	}
 
 	// Transmission grid, padded with the polarity's background level.
 	bg := a.backgroundLevel()
@@ -160,43 +172,19 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 	if err := t.FFT2DBandSelect(spectrumRows); err != nil {
 		return nil, err
 	}
-	return a.imageCorners(t, mask, corners, sets, bg)
-}
-
-// resolveSets fetches the filter set of every unique corner defocus up
-// front, so the forward transform knows which spectrum rows the filters
-// will read. sets[ci] is nil when an earlier corner shares the defocus (the
-// image is aliased there); rows is the ascending union of all resolved
-// sets' support rows.
-func (a *Abbe) resolveSets(nx, ny int, px float64, corners []Corner) (sets []*filterSet, rows []int) {
-	sets = make([]*filterSet, len(corners))
-	for ci, c := range corners {
-		if doseAlias(corners, ci) != ci {
-			continue
-		}
-		sets[ci] = a.filtersFor(nx, ny, px, c.DefocusNM)
-		rows = mergeRows(rows, sets[ci].unionRows)
-	}
-	return sets, rows
-}
-
-// imageCorners runs the filtered source sum of every corner over the
-// band-selected spectrum t, aliasing duplicate-defocus corners to the
-// earlier corner's image per the AerialSeries contract.
-func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, sets []*filterSet, bg float64) ([]*Image, error) {
-	order := make([]*Image, len(corners))
+	out := make([]*Image, len(corners))
 	for ci := range corners {
 		if cj := doseAlias(corners, ci); cj != ci {
-			order[ci] = order[cj]
+			out[ci] = out[cj]
 			continue
 		}
 		im, err := a.aerialFiltered(t, mask, sets[ci], bg)
 		if err != nil {
 			return nil, err
 		}
-		order[ci] = im
+		out[ci] = im
 	}
-	return order, nil
+	return out, nil
 }
 
 // aerialFiltered runs the folded source-point sum for one filter set.

@@ -127,9 +127,9 @@ func doseAlias(corners []Corner, i int) int {
 	return i
 }
 
-// ErrEmptyMask is returned by every imaging entry point (Aerial,
-// AerialSeries, AerialBatch) of both models when a mask raster has no
-// pixels (Nx or Ny is zero).
+// ErrEmptyMask is returned by every imaging entry point of both models
+// (Aerial, AerialSeries, and the fast model's AerialBatch) when a mask
+// raster has no pixels (Nx or Ny is zero).
 var ErrEmptyMask = errors.New("litho: empty mask raster")
 
 // Model computes aerial images for mask rasters under a process corner.

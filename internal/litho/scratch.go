@@ -18,11 +18,12 @@ import (
 // simulates without allocating them.
 //
 // Lifetime rules: a kernelScratch (and every slice grown from it) is owned
-// by exactly one Aerial/AerialSeries call between borrow and release, and
-// nothing of it escapes into a returned value. The caller of Aerial (or
-// the fast model's AerialWithin) owns the returned Image: it may keep it,
-// or hand it to RecycleImage once it has read it, after which the fast
-// model may hand it out again. Images returned by AerialSeries and
+// by exactly one imaging call between borrow and release (the fast model's
+// AerialBatch shares one across its masks), and nothing of it escapes into
+// a returned value. The caller of Aerial (or the fast model's
+// AerialWithin) owns the returned Image: it may keep it, or hand it to
+// RecycleImage once it has read it, after which the fast model may hand it
+// out again. Images returned by AerialSeries and the fast model's
 // AerialBatch alias across dose corners and are never recycled. Borrowed
 // buffers come back with unspecified contents; every consumer fully
 // overwrites or zeroes before reading what it reads, which also keeps

@@ -21,14 +21,12 @@ func TestDisabledSinkZeroAlloc(t *testing.T) {
 	h := s.LatencyHistogram("x")
 	j := s.Ledger()
 	var rec *WindowRecord
-	var f *Flight
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(1)
 		h.ObserveSince(h.StartTimer())
 		rec.Observe(StageOPC, h.TimedSince(h.StartTimer()))
 		j.Record(rec)
-		f.Record(SpanEvent{})
 		sp := s.StartChild("x", 0)
 		sp.End()
 	}); n != 0 {
@@ -99,13 +97,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			rec.Observe(StageOPC, 5)
 		}
 		j.Record(rec)
-	})
-	b.Run("flight-record-enabled", func(b *testing.B) {
-		f := NewFlight(256)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f.Record(SpanEvent{Name: "x", ID: SpanID(i)})
-		}
 	})
 	b.Run("span-disabled", func(b *testing.B) {
 		var s *Sink

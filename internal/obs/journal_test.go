@@ -170,7 +170,7 @@ func TestJournalNilSafety(t *testing.T) {
 // TestSinkWriteLedger: the sink-level convenience gathers snapshot and
 // spans; a sink without a journal still writes metric/span sections.
 func TestSinkWriteLedger(t *testing.T) {
-	sink := NewSink().WithJournal(0).WithFlightRecorder(0)
+	sink := NewSink().WithJournal(0)
 	sink.Counter("cache.hits_total").Add(5)
 	sink.Start("flow.run").End()
 	sink.Ledger().SetManifest(Manifest{Tool: "t"})

@@ -42,13 +42,10 @@ type Sink struct {
 	// Journal receives the run manifest and per-window ledger records
 	// (nil unless the run writes a ledger).
 	Journal *Journal
-	// Flight is the crash-dump ring of recent spans (nil unless enabled).
-	Flight *Flight
 }
 
 // NewSink returns a Sink with both a metrics registry and a tracer.
-// Journal and flight recorder are opt-in via WithJournal /
-// WithFlightRecorder.
+// The journal is opt-in via WithJournal.
 func NewSink() *Sink {
 	return &Sink{Metrics: NewRegistry(), Trace: NewTracer()}
 }
@@ -57,17 +54,6 @@ func NewSink() *Sink {
 // (<= 0 for the default) and returns the sink.
 func (s *Sink) WithJournal(topK int) *Sink {
 	s.Journal = NewJournal(topK)
-	return s
-}
-
-// WithFlightRecorder attaches a flight-recorder ring of the last n spans
-// (<= 0 for the default) and hooks it into the tracer, so every span End
-// also lands in the ring. Call at setup, before spans are started.
-func (s *Sink) WithFlightRecorder(n int) *Sink {
-	s.Flight = NewFlight(n)
-	if s.Trace != nil {
-		s.Trace.flight = s.Flight
-	}
 	return s
 }
 

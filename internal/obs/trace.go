@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -33,14 +34,8 @@ type SpanEvent struct {
 type Tracer struct {
 	next atomic.Uint64
 
-	// flight, when set (before any concurrent use — Sink.WithFlightRecorder
-	// wires it at setup), additionally receives every completed span, so
-	// the crash-dump ring stays current without a second instrumentation
-	// point.
-	flight *Flight
-
 	mu     sync.Mutex
-	events []SpanEvent
+	events []SpanEvent // in the order the spans ended
 }
 
 // NewTracer returns an empty tracer.
@@ -85,7 +80,6 @@ func (sp Span) End() {
 	sp.tracer.mu.Lock()
 	sp.tracer.events = append(sp.tracer.events, ev)
 	sp.tracer.mu.Unlock()
-	sp.tracer.flight.Record(ev)
 }
 
 // Events returns a copy of the completed spans, sorted by start time (ID
@@ -104,6 +98,28 @@ func (t *Tracer) Events() []SpanEvent {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// Dump writes the last n completed spans (every span, when fewer have
+// ended) in the order they ended, one line each with start offset and
+// duration in milliseconds, under a header that counts all the tracer
+// holds. It is the crash dump of a failed or stalled run (cli.Fatal and
+// SIGQUIT): the tail of the work that led into it. Safe to call while
+// spans are ending; a nil tracer writes nothing.
+func (t *Tracer) Dump(w io.Writer, n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	total := len(t.events)
+	keep := max(min(n, total), 0)
+	tail := append([]SpanEvent(nil), t.events[total-keep:]...)
+	t.mu.Unlock()
+	fmt.Fprintf(w, "span dump: last %d of %d span(s)\n", len(tail), total)
+	for _, ev := range tail {
+		fmt.Fprintf(w, "  +%12.3fms %8.3fms  %-28s id=%d parent=%d\n",
+			float64(ev.Start)/1e6, float64(ev.Dur)/1e6, ev.Name, ev.ID, ev.Parent)
+	}
 }
 
 // chromeTraceEvent is one entry of the Chrome trace-event format ("X" =
